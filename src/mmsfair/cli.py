@@ -14,8 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
-from fractions import Fraction
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -25,21 +24,20 @@ from .core import (
     InstanceTooLargeError,
     MmsPair,
     canonicalize,
+    format_rational,
     parse_items,
     parse_rational,
 )
-from .criteria import Allocation, audit
+from .criteria import CRITERIA, Allocation, audit, check_criteria
 from .dominance import decompose, dominates, non_dominance_witness
 from .engine import DEFAULT_LIMITS, SearchLimits, mms, mms_cardinality
-from .pairs import candidate_pairs, filtration_trace, non_dominated_pairs
+from .pairs import candidate_pairs, filtration_trace
 from .scan import notion_separation_scan, report_jsonable, write_csv_rows
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
-
-CRITERIA = ("omms", "wmms", "bmms")
 
 
 @dataclass
@@ -61,10 +59,6 @@ def replay(record: RunRecord) -> dict:
     return outputs
 
 
-def _frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _limits(inputs: dict) -> SearchLimits:
     return SearchLimits(
         max_items=int(inputs.get("max_items", DEFAULT_LIMITS.max_items)),
@@ -78,16 +72,10 @@ def _instance(inputs: dict) -> Instance:
 
 def execute(command: str, inputs: dict) -> tuple[int, dict]:
     """Pure dispatch from JSON-able inputs to (exit code, JSON-able outputs)."""
-    handlers = {
-        "mms": _exec_mms,
-        "dominates": _exec_dominates,
-        "pairs": _exec_pairs,
-        "audit": _exec_audit,
-        "scan": _exec_scan,
-    }
-    if command not in handlers:
+    if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    return handlers[command](inputs)
+    _, run, _ = COMMANDS[command]
+    return run(inputs)
 
 
 def _exec_mms(inputs: dict) -> tuple[int, dict]:
@@ -133,13 +121,14 @@ def _exec_dominates(inputs: dict) -> tuple[int, dict]:
 def _exec_pairs(inputs: dict) -> tuple[int, dict]:
     a = parse_rational(inputs["entitlement"])
     m = int(inputs["item_count"])
-    survivors = non_dominated_pairs(a, m)
+    candidates = candidate_pairs(a, m)
     trace = filtration_trace(a, m)
+    removed = {t.removed for t in trace}
     outputs = {
-        "entitlement": _frac(survivors.entitlement),
+        "entitlement": format_rational(a),
         "item_count": m,
-        "candidates": [str(p) for p in candidate_pairs(a, m)],
-        "survivors": [str(p) for p in survivors.pairs],
+        "candidates": [str(p) for p in candidates],
+        "survivors": [str(p) for p in candidates if p not in removed],
         "trace": [
             {"removed": str(t.removed), "by": str(t.by), "q": t.q, "r": t.r}
             for t in trace
@@ -153,9 +142,7 @@ def _exec_audit(inputs: dict) -> tuple[int, dict]:
     t = EntitlementVector(tuple(parse_rational(s) for s in inputs["entitlements"]))
     alloc = Allocation.from_lists(inputs["allocation"])
     criteria = list(inputs.get("criteria") or CRITERIA)
-    for name in criteria:
-        if name not in CRITERIA:
-            raise ValueError(f"unknown criterion {name!r}; choose from {CRITERIA}")
+    check_criteria(criteria)
     report = audit(instance, t, alloc, _limits(inputs))
     all_ok = report.all_ok(criteria)
     outputs = {
@@ -172,8 +159,8 @@ def _exec_audit(inputs: dict) -> tuple[int, dict]:
                         {"pair": str(p), "value": v} for p, v in a.omms_requirements
                     ],
                 },
-                "wmms": {"ok": a.wmms_ok, "value": _frac(a.wmms_value)},
-                "bmms": {"ok": a.bmms_ok, "value": _frac(a.bmms_value)},
+                "wmms": {"ok": a.wmms_ok, "value": format_rational(a.wmms_value)},
+                "bmms": {"ok": a.bmms_ok, "value": format_rational(a.bmms_value)},
             }
             for a in report.agents
         ],
@@ -202,12 +189,12 @@ def _exec_scan(inputs: dict) -> tuple[int, dict]:
     return EXIT_OK, report_jsonable(report)
 
 
-def _render_mms(outputs: dict) -> str:
+def _render_mms(outputs: dict, args: argparse.Namespace) -> str:
     parts = " | ".join(str(p) for p in outputs["witness_parts"])
     return f"value: {outputs['value']}\nwitness parts: {parts}"
 
 
-def _render_dominates(outputs: dict) -> str:
+def _render_dominates(outputs: dict, args: argparse.Namespace) -> str:
     head = (
         f"{outputs['pair']} dominates {outputs['other']}: "
         f"{'yes' if outputs['dominates'] else 'no'} "
@@ -223,12 +210,12 @@ def _render_dominates(outputs: dict) -> str:
     )
 
 
-def _render_pairs(outputs: dict, trace: bool) -> str:
+def _render_pairs(outputs: dict, args: argparse.Namespace) -> str:
     lines = [
         "candidates: " + " ".join(outputs["candidates"]),
         "survivors: " + " ".join(outputs["survivors"]),
     ]
-    if trace:
+    if args.trace:
         for step in outputs["trace"]:
             lines.append(
                 f"{step['removed']} is filtered out by {step['by']} "
@@ -237,7 +224,7 @@ def _render_pairs(outputs: dict, trace: bool) -> str:
     return "\n".join(lines)
 
 
-def _render_audit(outputs: dict) -> str:
+def _render_audit(outputs: dict, args: argparse.Namespace) -> str:
     lines = []
     for a in outputs["agents"]:
         verdicts = " | ".join(
@@ -252,7 +239,7 @@ def _render_audit(outputs: dict) -> str:
     return "\n".join(lines)
 
 
-def _render_scan(outputs: dict) -> str:
+def _render_scan(outputs: dict, args: argparse.Namespace) -> str:
     s = outputs["summary"]
     lines = [
         f"rows: {s['rows']}",
@@ -270,18 +257,6 @@ def _render_scan(outputs: dict) -> str:
             f"({s['rows']} rows)"
         )
     return "\n".join(lines)
-
-
-def _render(command: str, outputs: dict, args: argparse.Namespace) -> str:
-    if command == "mms":
-        return _render_mms(outputs)
-    if command == "dominates":
-        return _render_dominates(outputs)
-    if command == "pairs":
-        return _render_pairs(outputs, getattr(args, "trace", False))
-    if command == "audit":
-        return _render_audit(outputs)
-    return _render_scan(outputs)
 
 
 def _load_items(args: argparse.Namespace) -> list[int]:
@@ -387,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mms.add_argument("--pair", required=True, help="share condition as l/d")
     _add_limit_flags(p_mms)
     _add_common_flags(p_mms)
-    p_mms.set_defaults(build=_build_mms_inputs)
 
     p_dom = sub.add_parser("dominates", help="does (l,d) dominate (l',d')?")
     p_dom.add_argument("l", type=int)
@@ -395,14 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_dom.add_argument("l_prime", type=int)
     p_dom.add_argument("d_prime", type=int)
     _add_common_flags(p_dom)
-    p_dom.set_defaults(build=_build_dominates_inputs)
 
     p_pairs = sub.add_parser("pairs", help="non-dominated conditions for an entitlement")
     p_pairs.add_argument("--entitlement", required=True, help='entitlement, "p/q" or decimal')
     p_pairs.add_argument("--items-count", required=True, type=int)
     p_pairs.add_argument("--trace", action="store_true", help="show every filtration step")
     _add_common_flags(p_pairs)
-    p_pairs.set_defaults(build=_build_pairs_inputs)
 
     p_audit = sub.add_parser("audit", help="audit an allocation against the criteria")
     p_audit.add_argument("--items", help="comma/whitespace separated item values")
@@ -420,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_limit_flags(p_audit)
     _add_common_flags(p_audit)
-    p_audit.set_defaults(build=_build_audit_inputs)
 
     p_scan = sub.add_parser("scan", help="notion separation sweep over small grids")
     p_scan.add_argument(
@@ -446,9 +417,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="search safety bound on part count (default %(default)s)",
     )
     _add_common_flags(p_scan)
-    p_scan.set_defaults(build=_build_scan_inputs)
 
     return parser
+
+
+# name -> (build inputs from parsed args, execute inputs, render outputs as text)
+COMMANDS = {
+    "mms": (_build_mms_inputs, _exec_mms, _render_mms),
+    "dominates": (_build_dominates_inputs, _exec_dominates, _render_dominates),
+    "pairs": (_build_pairs_inputs, _exec_pairs, _render_pairs),
+    "audit": (_build_audit_inputs, _exec_audit, _render_audit),
+    "scan": (_build_scan_inputs, _exec_scan, _render_scan),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -460,9 +440,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return EXIT_USAGE
+    build, _, render = COMMANDS[args.command]
 
     try:
-        inputs = args.build(args)
+        inputs = build(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -478,30 +459,28 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     wall = time.perf_counter() - started
 
-    if args.record:
-        record = RunRecord(
-            command=args.command,
-            inputs=inputs,
-            outputs=outputs,
-            engine_version=__version__,
-            wall_time_s=wall,
-        )
-        Path(args.record).write_text(json.dumps(asdict(record), sort_keys=True, indent=2))
-
-    if args.command == "scan" and getattr(args, "out", None):
-        with open(args.out, "w", newline="") as handle:
-            write_csv_rows(outputs["rows"], handle)
+    # The record holds the RunRecord fields: the envelope plus wall time.
+    envelope = {
+        "command": args.command,
+        "engine_version": __version__,
+        "inputs": inputs,
+        "outputs": outputs,
+    }
+    try:
+        if args.record:
+            record = dict(envelope, wall_time_s=wall)
+            Path(args.record).write_text(json.dumps(record, sort_keys=True, indent=2))
+        if getattr(args, "out", None):
+            with open(args.out, "w", newline="") as handle:
+                write_csv_rows(outputs["rows"], handle)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.json:
-        envelope = {
-            "command": args.command,
-            "engine_version": __version__,
-            "inputs": inputs,
-            "outputs": outputs,
-        }
         print(json.dumps(envelope, sort_keys=True, indent=2))
     else:
-        print(_render(args.command, outputs, args))
+        print(render(outputs, args))
     return code
 
 

@@ -34,6 +34,11 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
+def format_rational(f: Fraction) -> str:
+    """The "p/q" form that `parse_rational` reads back; integers keep "/1"."""
+    return f"{f.numerator}/{f.denominator}"
+
+
 @dataclass(frozen=True, slots=True)
 class Instance:
     """A multiset of non-negative integer item values.

@@ -23,7 +23,6 @@ from typing import Sequence
 from .core import (
     EntitlementVector,
     Instance,
-    InstanceTooLargeError,
     MmsPair,
     PartitionAssignment,
     Value,
@@ -31,6 +30,16 @@ from .core import (
 )
 from .engine import DEFAULT_LIMITS, SearchLimits, mms
 from .pairs import non_dominated_pairs
+
+#: The criterion names, in report order.
+CRITERIA = ("omms", "wmms", "bmms")
+
+
+def check_criteria(names: Sequence[str]) -> None:
+    """Reject any name that is not one of CRITERIA."""
+    for name in names:
+        if name not in CRITERIA:
+            raise ValueError(f"unknown criterion {name!r}; choose from {CRITERIA}")
 
 
 def omms_requirements(
@@ -75,11 +84,7 @@ def weighted_maximin_partition(
             raise ValueError(f"entitlements must be positive, got {t}")
     items = canonicalize(instance).items
     m = len(items)
-    if m > limits.max_items or n > limits.max_parts:
-        raise InstanceTooLargeError(
-            f"instance too large for exact search: {m} items into {n} parts "
-            f"(limits: {limits.max_items} items, {limits.max_parts} parts)"
-        )
+    limits.check(m, n)
 
     same_t_before = [
         [j2 for j2 in range(j) if entitlements[j2] == entitlements[j]]
@@ -150,11 +155,9 @@ def bmms_value(
     """
     if not 0 < t_i <= 1:
         raise ValueError(f"entitlement must satisfy 0 < t_i <= 1, got {t_i}")
-    if len(instance) > limits.max_items:
-        raise InstanceTooLargeError(
-            f"instance too large for exact search: {len(instance)} items "
-            f"(limit: {limits.max_items})"
-        )
+    # The subset-sum enumeration grows with the item count only; one part
+    # keeps the part bound out of it for any max_parts >= 1.
+    limits.check(len(instance), 1)
     total = instance.total()
     if t_i == 1:
         return Fraction(total)
@@ -165,6 +168,22 @@ def bmms_value(
         if candidate > best:
             best = candidate
     return t_i * best
+
+
+def agent_shares(
+    instance: Instance, t: EntitlementVector, limits: SearchLimits = DEFAULT_LIMITS
+) -> list[tuple[list[tuple[MmsPair, Value]], Fraction, Fraction]]:
+    """(OMMS requirements, WMMS value, BMMS value) of every agent, in agent
+    order. One labeled-partition search serves all agents' WMMS values."""
+    best_ratio, _ = weighted_maximin_partition(instance, t.entitlements, limits)
+    return [
+        (
+            omms_requirements(instance, t_i, limits),
+            t_i * best_ratio,
+            bmms_value(instance, t_i, limits),
+        )
+        for t_i in t
+    ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,10 +230,8 @@ class AgentAudit:
 class FairnessReport:
     agents: tuple[AgentAudit, ...]
 
-    def all_ok(self, criteria: Sequence[str] = ("omms", "wmms", "bmms")) -> bool:
-        for name in criteria:
-            if name not in ("omms", "wmms", "bmms"):
-                raise ValueError(f"unknown criterion {name!r}")
+    def all_ok(self, criteria: Sequence[str] = CRITERIA) -> bool:
+        check_criteria(criteria)
         return all(
             getattr(agent, f"{name}_ok") for agent in self.agents for name in criteria
         )
@@ -232,18 +249,14 @@ def audit(
             f"allocation has {len(alloc.bundles)} bundles for {len(t)} agents"
         )
     alloc.validate_for(instance)
-    best_ratio, _ = weighted_maximin_partition(instance, t.entitlements, limits)
     audits = []
-    for i, t_i in enumerate(t):
+    for i, (requirements, wmms, bmms) in enumerate(agent_shares(instance, t, limits)):
         value = alloc.bundle_value(instance, i)
-        requirements = tuple(omms_requirements(instance, t_i, limits))
-        wmms = t_i * best_ratio
-        bmms = bmms_value(instance, t_i, limits)
         audits.append(
             AgentAudit(
                 agent=i,
                 bundle_value=value,
-                omms_requirements=requirements,
+                omms_requirements=tuple(requirements),
                 omms_ok=all(value >= req for _, req in requirements),
                 wmms_value=wmms,
                 wmms_ok=value >= wmms,

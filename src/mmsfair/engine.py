@@ -30,6 +30,14 @@ class SearchLimits:
     max_items: int = 16
     max_parts: int = 10
 
+    def check(self, m: int, d: int) -> None:
+        """Raise InstanceTooLargeError if m items into d parts exceed the bounds."""
+        if m > self.max_items or d > self.max_parts:
+            raise InstanceTooLargeError(
+                f"instance too large for exact search: {m} items into {d} parts "
+                f"(limits: {self.max_items} items, {self.max_parts} parts)"
+            )
+
 
 DEFAULT_LIMITS = SearchLimits()
 
@@ -92,11 +100,7 @@ def mms(
     """
     items = canonicalize(instance).items
     m, l, d = len(items), pair.l, pair.d
-    if m > limits.max_items or d > limits.max_parts:
-        raise InstanceTooLargeError(
-            f"instance too large for exact search: {m} items into {d} parts "
-            f"(limits: {limits.max_items} items, {limits.max_parts} parts)"
-        )
+    limits.check(m, d)
     if l == 0:
         return MmsResult(0, PartitionAssignment((0,) * m, d))
 

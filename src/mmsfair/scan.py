@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence
 
-from .core import EntitlementVector, Instance, Value
-from .criteria import bmms_value, omms_requirements, weighted_maximin_partition
+from .core import EntitlementVector, Instance, Value, format_rational
+from .criteria import agent_shares
 from .engine import DEFAULT_LIMITS, SearchLimits
 
 
@@ -61,17 +61,13 @@ class ScanReport:
         }
 
 
-def _frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _row_jsonable(row: ScanRow) -> dict:
     return {
         "items": list(row.items),
-        "entitlements": [_frac(t) for t in row.entitlements],
+        "entitlements": [format_rational(t) for t in row.entitlements],
         "omms_max": list(row.omms_max),
-        "wmms": [_frac(v) for v in row.wmms],
-        "bmms": [_frac(v) for v in row.bmms],
+        "wmms": [format_rational(v) for v in row.wmms],
+        "bmms": [format_rational(v) for v in row.bmms],
         "wmms_stronger": list(row.wmms_stronger),
         "omms_stronger": list(row.omms_stronger),
         "bmms_below_wmms": list(row.bmms_below_wmms),
@@ -152,22 +148,15 @@ def scan_one(
     t: EntitlementVector,
     limits: SearchLimits = DEFAULT_LIMITS,
 ) -> ScanRow:
-    best_ratio, _ = weighted_maximin_partition(instance, t.entitlements, limits)
-    omms_max = []
-    wmms = []
-    bmms = []
-    for t_i in t:
-        requirements = omms_requirements(instance, t_i, limits)
-        omms_max.append(max((v for _, v in requirements), default=0))
-        wmms.append(t_i * best_ratio)
-        bmms.append(bmms_value(instance, t_i, limits))
+    requirements, wmms, bmms = zip(*agent_shares(instance, t, limits))
+    omms_max = tuple(max((v for _, v in r), default=0) for r in requirements)
     idx = range(len(t))
     return ScanRow(
         items=tuple(instance.items),
         entitlements=tuple(t.entitlements),
-        omms_max=tuple(omms_max),
-        wmms=tuple(wmms),
-        bmms=tuple(bmms),
+        omms_max=omms_max,
+        wmms=wmms,
+        bmms=bmms,
         wmms_stronger=tuple(i for i in idx if wmms[i] > omms_max[i]),
         omms_stronger=tuple(i for i in idx if omms_max[i] > wmms[i]),
         bmms_below_wmms=tuple(i for i in idx if bmms[i] < wmms[i]),
@@ -187,6 +176,8 @@ def notion_separation_scan(
     """Scan every multiset of 1..max_items values from `value_grid` against
     every entitlement vector; sample deterministically when the multiset
     count exceeds `max_instances`. Rows are sorted by instance encoding."""
+    if max_instances is not None and max_instances < 0:
+        raise ValueError(f"max_instances must be non-negative, got {max_instances}")
     rows = []
     for items in _instances(max_items, value_grid, max_instances, seed):
         instance = Instance(items)

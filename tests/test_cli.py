@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -284,3 +285,40 @@ def test_no_command_prints_help(capsys):
     code, out, _ = run(capsys)
     assert code == 2
     assert "usage" in out.lower()
+
+
+def test_record_to_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    record_file = tmp_path / "missing" / "record.json"
+    code, out, err = run(
+        capsys, "dominates", "2", "3", "4", "7", "--record", str(record_file)
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+def test_scan_out_to_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    out_csv = tmp_path / "missing" / "report.csv"
+    code, out, err = run(
+        capsys, "scan", "--values", "40,60", "--entitlements", "0.4,0.6", "--out", str(out_csv)
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+# Exit code, stdout and CSV of the README examples, recorded at version 0.1.0.
+# Any change here is a change of the command-line contract.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case",
+    GOLDEN,
+    ids=[f"{c['argv'][0]}-{'json' if '--json' in c['argv'] else 'text'}" for c in GOLDEN],
+)
+def test_readme_examples_match_recorded_output(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *case["argv"]) == (case["exit_code"], case["stdout"], "")
+    if "csv" in case:
+        assert (tmp_path / "report.csv").read_bytes() == case["csv"].encode()

@@ -1,6 +1,8 @@
 import io
 from fractions import Fraction
 
+import pytest
+
 from mmsfair.core import EntitlementVector
 from mmsfair.scan import (
     CSV_COLUMNS,
@@ -82,3 +84,8 @@ def test_report_serialization_round_trip():
     assert lines[0] == ",".join(CSV_COLUMNS)
     # one line per (instance, entitlements, agent)
     assert len(lines) == 1 + sum(len(r.entitlements) for r in report.rows)
+
+
+def test_scan_rejects_negative_max_instances():
+    with pytest.raises(ValueError, match="max_instances"):
+        notion_separation_scan(2, [40, 60], [T_40_60], max_instances=-1)
