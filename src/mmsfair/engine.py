@@ -1,11 +1,19 @@
 """Exact l-out-of-d maximin-share computation.
 
 The share value is the maximum, over all partitions of the items into d
-possibly-empty parts, of the sum of the l smallest part sums. `mms` runs
-an exact depth-first search with symmetry breaking and a water-filling
-upper bound; `brute_force_mms` is the deliberately dumb reference oracle
-used by the tests; `mms_cardinality` is the closed form for identical
-unit-valued items.
+possibly-empty parts, of the sum of the l smallest part sums. `mms`
+searches part assignments depth first in lex order (parts numbered by
+first use) and keeps strict improvements only, so its witness is the
+lex-first optimum, which no pruning rule cuts: the water-filling bound
+(part sums sorted once per node) cuts subtrees that cannot beat the
+incumbent; the last item is placed in closed form (the sum of the l
+smallest is Schur-concave, so a smallest part is its best home; each
+allowed part scores in O(1), first maximum kept); an item equal to its
+predecessor never goes to an earlier part (swapping equal items keeps the
+part sums and first-use order and lowers the vector); and the search
+stops at the root bound l*T//d. `brute_force_mms` is the deliberately
+dumb reference oracle used by the tests; `mms_cardinality` is the closed
+form for identical unit-valued items.
 """
 from __future__ import annotations
 
@@ -73,10 +81,10 @@ def _greedy_value(items: Sequence[Value], l: int, d: int) -> Value:
     return sum(sorted(sums)[:l])
 
 
-def _upper_bound(sums: list[Value], rest: Value, l: int, d: int) -> Value:
+def _upper_bound(asc: list[Value], rest: Value, l: int, d: int) -> Value:
     # Pouring the unassigned total fractionally onto the smallest parts
-    # maximizes the sum of the l smallest; no integral completion beats it.
-    asc = sorted(sums)
+    # (`asc`: part sums, ascending) maximizes the sum of the l smallest; no
+    # integral completion beats it.
     prefix = 0
     for k in range(1, d + 1):
         prefix += asc[k - 1]
@@ -96,43 +104,67 @@ def mms(
 
     Deterministic: among optimal partitions, returns the lexicographically
     smallest assignment vector over canonical items, with parts numbered in
-    order of first use. Raises InstanceTooLargeError beyond `limits`.
+    order of first use. Raises InstanceTooLargeError beyond `limits`,
+    except for l == 0, which needs no search.
     """
     items = canonicalize(instance).items
     m, l, d = len(items), pair.l, pair.d
-    limits.check(m, d)
-    if l == 0:
+    if l == 0:  # the empty union: no search, so nothing to refuse
         return MmsResult(0, PartitionAssignment((0,) * m, d))
+    limits.check(m, d)
+    if m == 0:
+        return MmsResult(0, PartitionAssignment((), d))
 
     rest = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         rest[i] = rest[i + 1] + items[i]
 
+    root = l * rest[0] // d
     best_value = _greedy_value(items, l, d) - 1
-    best_assign: tuple[int, ...] | None = None
+    best_assign: tuple[int, ...] = ()
     sums = [0] * d
     assign = [0] * m
+    last = m - 1
 
-    def dfs(i: int, opened: int) -> None:
+    def dfs(i: int, opened: int) -> bool:
+        # Returns True once the incumbent meets the root bound.
         nonlocal best_value, best_assign
-        if i == m:
-            value = sum(sorted(sums)[:l])
-            if value > best_value:
-                best_value = value
-                best_assign = tuple(assign)
-            return
-        if _upper_bound(sums, rest[i], l, d) <= best_value:
-            return
+        asc = sorted(sums)
         v = items[i]
-        for k in range(min(opened + 1, d)):
+        first = assign[i - 1] if i and v == items[i - 1] else 0
+        stop = opened + 1 if opened < d else d
+        if i == last:
+            # Adding v to a part of sum s below the ceiling (the l+1-th smallest;
+            # every part counts when l == d) raises the l smallest by
+            # min(v, ceiling - s).
+            base = sum(asc[:l])
+            ceiling = asc[l] if l < d else asc[-1] + v
+            if base + min(v, ceiling - asc[0]) <= best_value:
+                return False
+            for k in range(first, stop):
+                s = sums[k]
+                value = base + min(v, ceiling - s) if s < ceiling else base
+                if value > best_value:
+                    best_value = value
+                    assign[i] = k
+                    best_assign = tuple(assign)
+            return best_value == root
+        if _upper_bound(asc, rest[i], l, d) <= best_value:
+            return False
+        for k in range(first, stop):
             sums[k] += v
             assign[i] = k
-            dfs(i + 1, opened + 1 if k == opened else opened)
+            if dfs(i + 1, opened + 1 if k == opened else opened):
+                return True
             sums[k] -= v
+        return False
 
     dfs(0, 0)
-    assert best_assign is not None
-    return MmsResult(best_value, PartitionAssignment(best_assign, d))
+    witness = PartitionAssignment(best_assign, d)
+    # Raised explicitly, not asserted, so that `python -O` keeps the check.
+    if min_l_union(witness.part_sums(items), l) != best_value:
+        raise AssertionError(f"witness {best_assign} does not reach {best_value}")
+    return MmsResult(best_value, witness)
 
 
 def brute_force_mms_table(instance: Instance, d: int) -> tuple[Value, ...]:

@@ -52,6 +52,13 @@ def test_mms_size_refusal_exit_3(capsys):
     assert code == 0
 
 
+def test_mms_zero_l_is_not_refused(capsys):
+    # l = 0 needs no search, so the size bound does not apply.
+    code, out, _ = run(capsys, "mms", "--items", "1,2,3", "--pair", "0/3", "--max-parts", "2")
+    assert code == 0
+    assert "value: 0" in out
+
+
 def test_mms_items_file(tmp_path, capsys):
     text_file = tmp_path / "items.txt"
     text_file.write_text("1\n3\n5\n6\n9\n")

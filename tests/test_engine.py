@@ -1,8 +1,17 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmsfair.core import Instance, InstanceTooLargeError, MmsPair, canonicalize
+from mmsfair import engine
+from mmsfair.core import (
+    Instance,
+    InstanceTooLargeError,
+    MmsPair,
+    PartitionAssignment,
+    canonicalize,
+)
 from mmsfair.engine import (
     SearchLimits,
     brute_force_mms,
@@ -73,6 +82,28 @@ def test_mms_refuses_oversized_instances():
     assert mms(Instance((1,) * 17), MmsPair(1, 2), wide).value == 8
 
 
+def test_mms_zero_l_needs_no_search_and_is_never_refused():
+    result = mms(Instance((1, 2, 3)), MmsPair(0, 3), SearchLimits(max_parts=2))
+    assert result.value == 0
+    assert result.witness.part_of == (0, 0, 0)
+
+
+def test_mms_raises_when_witness_misses_value(monkeypatch):
+    # A witness that does not reproduce the value is an error; the check
+    # raises explicitly, since an assert would vanish under `python -O`.
+    monkeypatch.setattr(engine, "min_l_union", lambda sums, l: -1)
+    with pytest.raises(AssertionError, match="witness"):
+        mms(INTRO, MmsPair(1, 3))
+
+
+def test_search_stops_only_at_the_root_bound():
+    # The search meets an incumbent of 104, one short of the root bound
+    # 210 // 2, before the optimum; only the bound itself may end it early.
+    result = mms(Instance((98, 75, 24, 6, 5, 2, 0)), MmsPair(1, 2))
+    assert result.value == 105
+    assert result.witness.part_of == (0, 1, 1, 1, 0, 0, 0)
+
+
 def test_mms_witness_reproduces_value_on_known_cases():
     for pair in [MmsPair(1, 3), MmsPair(2, 5), MmsPair(3, 5), MmsPair(1, 2)]:
         result = mms(INTRO, pair)
@@ -113,6 +144,28 @@ def test_brute_force_rejects_above_oracle_scale():
 @given(instances, pairs_d4)
 def test_search_matches_brute_force(instance, pair):
     assert mms(instance, pair).value == brute_force_mms(instance, pair)
+
+
+def _lex_first_optimum(items, pair):
+    # Every labeling in lex order, parts numbered in order of first use; the
+    # first that reaches the brute-force optimum.
+    best = brute_force_mms(Instance(items), pair)
+    for labels in itertools.product(range(pair.d), repeat=len(items)):
+        if all(k <= max(labels[:j], default=-1) + 1 for j, k in enumerate(labels)):
+            sums = PartitionAssignment(labels, pair.d).part_sums(items)
+            if min_l_union(sums, pair.l) == best:
+                return labels
+    raise AssertionError("no labeling reaches the optimum")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=7), pairs_d4)
+def test_witness_is_lex_first_optimum(values, pair):
+    # Small values force ties, duplicates and zeros: the search prunes
+    # identical items and settles the last item in closed form, and must
+    # still return exactly the lex-first optimal labeling.
+    items = canonicalize(Instance(tuple(values))).items
+    assert mms(Instance(items), pair).witness.part_of == _lex_first_optimum(items, pair)
 
 
 @settings(max_examples=150, deadline=None)
@@ -170,6 +223,18 @@ def test_mms_cardinality_matches_search_sweep():
             for l in range(d + 1):
                 pair = MmsPair(l, d)
                 assert mms_cardinality(m, pair) == mms(units, pair).value, (m, l, d)
+
+
+@pytest.mark.parametrize("c", [1, 10**30])
+@pytest.mark.parametrize("m", [14, 16])
+def test_identical_items_past_oracle_reach(m, c):
+    # Beyond the brute-force oracle (10 items): the closed form for units,
+    # scaled by c, checks every pair within the default part bound.
+    instance = Instance((c,) * m)
+    for d in range(1, 11):
+        for l in range(d + 1):
+            pair = MmsPair(l, d)
+            assert mms(instance, pair).value == c * mms_cardinality(m, pair), pair
 
 
 @settings(max_examples=100, deadline=None)
