@@ -13,11 +13,22 @@ Three notions are evaluated exactly:
 WMMS and BMMS values are exact rationals. BMMS deliberately uses a
 subset-sum enumeration rather than the labeled-partition search, so the
 two routes cross-check each other where they must agree.
+
+Neither inner loop does Fraction arithmetic. The WMMS search puts the
+entitlements over a common denominator W, so w_j = t_j*W are integers;
+with L = lcm(w) and c_j = L // w_j, each ratio s/t_j is s*c_j * W/L, and
+the search compares the integer keys s*c_j, building one Fraction at the
+end. BMMS still enumerates every subset sum, then bisects the sorted sums
+for t_i*T: the split value rises up to that point and falls after it, so
+only the two sums on either side of it are scored.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Sequence
 
 from .core import (
@@ -43,15 +54,27 @@ def check_criteria(names: Sequence[str]) -> None:
 
 
 def omms_requirements(
-    instance: Instance, a: Fraction, limits: SearchLimits = DEFAULT_LIMITS
+    instance: Instance,
+    a: Fraction,
+    limits: SearchLimits = DEFAULT_LIMITS,
+    shares: dict[MmsPair, Value] | None = None,
 ) -> list[tuple[MmsPair, Value]]:
     """The finitely many (condition, share value) checks equivalent to
-    "at least the l-out-of-d share for every l/d <= a"."""
+    "at least the l-out-of-d share for every l/d <= a".
+
+    `shares` holds share values of this instance already known by pair;
+    the ones computed here are added to it.
+    """
     m = len(instance)
     if m == 0:
         return []
-    pair_set = non_dominated_pairs(a, m)
-    return [(p, mms(instance, p, limits).value) for p in pair_set.pairs]
+    shares = {} if shares is None else shares
+    requirements = []
+    for p in non_dominated_pairs(a, m).pairs:
+        if p not in shares:
+            shares[p] = mms(instance, p, limits).value
+        requirements.append((p, shares[p]))
+    return requirements
 
 
 def is_omms_fair(
@@ -86,42 +109,56 @@ def weighted_maximin_partition(
     m = len(items)
     limits.check(m, n)
 
-    same_t_before = [
-        [j2 for j2 in range(j) if entitlements[j2] == entitlements[j]]
+    # Integer keys as in the module docstring, with den = W, top = L and
+    # scale[j] = c_j: s/t_j is s*c_j * W/L.
+    den = lcm(*(t.denominator for t in entitlements))
+    weights = [t.numerator * (den // t.denominator) for t in entitlements]
+    top = lcm(*weights)
+    scale = [top // w for w in weights]
+    # Inside a group of equal entitlements the used parts always form a
+    # prefix, so part j may open only once its previous twin is in use.
+    twin_before = [
+        max((j2 for j2 in range(j) if entitlements[j2] == entitlements[j]), default=-1)
         for j in range(n)
     ]
-    sums = [0] * n
+    # keys[j] is agent j's part sum times c_j. Item i adds gains[i][j] to
+    # it, and left[i][j] is what items i.. could still add. The incumbent
+    # -1 is below every key, so the first leaf always wins.
+    gains = [[v * c for c in scale] for v in items]
+    left = [[0] * n]
+    for gain in reversed(gains):
+        left.append(list(map(add, left[-1], gain)))
+    left.reverse()
+    keys = [0] * n
     counts = [0] * n
     assign = [0] * m
-    best_ratio: Fraction | None = None
+    best_key = -1
     best_assign: tuple[int, ...] | None = None
 
-    def dfs(i: int, rest: Value) -> None:
-        nonlocal best_ratio, best_assign
+    def dfs(i: int) -> None:
+        nonlocal best_key, best_assign
         if i == m:
-            ratio = min(s / t for s, t in zip(sums, entitlements))
-            if best_ratio is None or ratio > best_ratio:
-                best_ratio = ratio
+            key = min(keys)
+            if key > best_key:
+                best_key = key
                 best_assign = tuple(assign)
             return
-        if best_ratio is not None:
-            bound = min((s + rest) / t for s, t in zip(sums, entitlements))
-            if bound <= best_ratio:
-                return
-        v = items[i]
+        if min(map(add, keys, left[i])) <= best_key:
+            return
+        gain = gains[i]
         for j in range(n):
-            if counts[j] == 0 and any(counts[j2] == 0 for j2 in same_t_before[j]):
+            if counts[j] == 0 and twin_before[j] >= 0 and counts[twin_before[j]] == 0:
                 continue
-            sums[j] += v
+            keys[j] += gain[j]
             counts[j] += 1
             assign[i] = j
-            dfs(i + 1, rest - v)
-            sums[j] -= v
+            dfs(i + 1)
+            keys[j] -= gain[j]
             counts[j] -= 1
 
-    dfs(0, sum(items))
-    assert best_ratio is not None and best_assign is not None
-    return Fraction(best_ratio), PartitionAssignment(best_assign, n)
+    dfs(0)
+    assert best_assign is not None
+    return Fraction(best_key * den, top), PartitionAssignment(best_assign, n)
 
 
 def wmms_value(
@@ -161,28 +198,38 @@ def bmms_value(
     total = instance.total()
     if t_i == 1:
         return Fraction(total)
-    rest_t = 1 - t_i
-    best = Fraction(0)
-    for s in _subset_sums(instance.items):
-        candidate = min(s / t_i, (total - s) / rest_t)
-        if candidate > best:
-            best = candidate
-    return t_i * best
+    # min(s/t_i, (T-s)/(1-t_i)) rises up to s = t_i*T and falls after it,
+    # so only the sums on either side of t_i*T can be best. The largest
+    # sum lo <= t_i*T scores lo; the next one, hi > t_i*T, scores
+    # t_i*(T-hi)/(1-t_i). 0 and T are sums, so lo always exists.
+    p, q = t_i.numerator, t_i.denominator
+    sums = sorted(_subset_sums(instance.items))
+    k = bisect_right(sums, p * total // q)
+    best = Fraction(sums[k - 1])
+    if k < len(sums):
+        best = max(best, Fraction(p * (total - sums[k]), q - p))
+    return best
 
 
 def agent_shares(
     instance: Instance, t: EntitlementVector, limits: SearchLimits = DEFAULT_LIMITS
 ) -> list[tuple[list[tuple[MmsPair, Value]], Fraction, Fraction]]:
     """(OMMS requirements, WMMS value, BMMS value) of every agent, in agent
-    order. One labeled-partition search serves all agents' WMMS values."""
+    order. One labeled-partition search serves all agents' WMMS values;
+    agents with equal entitlements share their OMMS and BMMS values, and
+    each share value is computed once. Shares are computed in first-use
+    order, so the first refusal is the one the agents meet in order."""
     best_ratio, _ = weighted_maximin_partition(instance, t.entitlements, limits)
+    shares: dict[MmsPair, Value] = {}
+    by_entitlement: dict[Fraction, tuple[list[tuple[MmsPair, Value]], Fraction]] = {}
+    for t_i in t:
+        if t_i not in by_entitlement:
+            by_entitlement[t_i] = (
+                omms_requirements(instance, t_i, limits, shares),
+                bmms_value(instance, t_i, limits),
+            )
     return [
-        (
-            omms_requirements(instance, t_i, limits),
-            t_i * best_ratio,
-            bmms_value(instance, t_i, limits),
-        )
-        for t_i in t
+        (by_entitlement[t_i][0], t_i * best_ratio, by_entitlement[t_i][1]) for t_i in t
     ]
 
 

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from mmsfair.cli import RunRecord, execute, main, replay
 
@@ -329,3 +334,66 @@ def test_readme_examples_match_recorded_output(case, tmp_path, monkeypatch, caps
     assert run(capsys, *case["argv"]) == (case["exit_code"], case["stdout"], "")
     if "csv" in case:
         assert (tmp_path / "report.csv").read_bytes() == case["csv"].encode()
+
+
+def _csv(values):
+    return ",".join(str(v) for v in values)
+
+
+# A few bad values per flag; the command line gets at most one of them.
+BAD_VALUES = {
+    "items": ["1,x", "1.5", "-3"],
+    "entitlements": [
+        "", "0,1", "-1/2,3/2", "1/0,1", "nan,1", "1/3,1/3", "0.5,0.6", "1e400,1"
+    ],
+    "allocation": ["0;0", "a", "9", ";;;;"],
+}
+
+
+@st.composite
+def audit_argv(draw):
+    items = draw(st.lists(st.integers(0, 50) | st.just(10**30), max_size=9))
+    weights = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    agents = len(weights)
+    owners = draw(
+        st.lists(st.integers(0, agents - 1), min_size=len(items), max_size=len(items))
+    )
+    values = {
+        "items": _csv(items),
+        "entitlements": _csv(Fraction(w, sum(weights)) for w in weights),
+        "allocation": ";".join(
+            _csv(i for i, owner in enumerate(owners) if owner == j) for j in range(agents)
+        ),
+    }
+    fault = draw(st.sampled_from([None, None, *BAD_VALUES]))
+    if fault:
+        values[fault] = draw(st.sampled_from(BAD_VALUES[fault]))
+    items_text, entitlements, allocation = values.values()
+    argv = ["audit", "--items", items_text, "--entitlements", entitlements]
+    argv += ["--allocation", allocation]
+    if draw(st.booleans()):
+        argv += ["--max-parts", str(draw(st.integers(-1, 12)))]
+    if draw(st.booleans()):
+        argv += ["--criteria", draw(st.sampled_from(["omms", "wmms,bmms", "envy"]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(audit_argv())
+def test_audit_command_line_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        assert not err.getvalue()
+        if "--json" in argv:
+            assert json.loads(out.getvalue())["command"] == "audit"
+    elif code == 2:
+        assert "error: " in err.getvalue()
+    else:
+        assert err.getvalue().startswith("refused: ")

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mmsfair import criteria
 from mmsfair.core import EntitlementVector, Instance, InstanceTooLargeError, MmsPair
 from mmsfair.criteria import (
     Allocation,
+    agent_shares,
     audit,
     bmms_value,
     is_omms_fair,
@@ -15,7 +17,7 @@ from mmsfair.criteria import (
     weighted_maximin_partition,
     wmms_value,
 )
-from mmsfair.engine import mms
+from mmsfair.engine import SearchLimits, mms
 
 TWO_ITEMS = Instance((40, 60))
 INTRO = Instance((1, 3, 5, 6, 9))
@@ -223,3 +225,158 @@ def test_audit_verdicts_monotone_in_bundle():
         for name in ("omms_ok", "wmms_ok", "bmms_ok"):
             if getattr(before, name):
                 assert getattr(after, name)
+
+
+def fraction_weighted_search(items, entitlements):
+    """The labeled-partition search as it ran on Fraction ratios: the same
+    order, pruning and strict-improvement rule, kept here as the oracle of
+    the integer-key search."""
+    items = sorted(items, reverse=True)
+    n, m = len(entitlements), len(items)
+    same_t_before = [
+        [j2 for j2 in range(j) if entitlements[j2] == entitlements[j]]
+        for j in range(n)
+    ]
+    sums, counts, assign = [0] * n, [0] * n, [0] * m
+    best = [None, None]
+
+    def dfs(i, rest):
+        if i == m:
+            ratio = min(s / t for s, t in zip(sums, entitlements))
+            if best[0] is None or ratio > best[0]:
+                best[:] = [ratio, tuple(assign)]
+            return
+        if best[0] is not None:
+            if min((s + rest) / t for s, t in zip(sums, entitlements)) <= best[0]:
+                return
+        for j in range(n):
+            if counts[j] == 0 and any(counts[j2] == 0 for j2 in same_t_before[j]):
+                continue
+            sums[j] += items[i]
+            counts[j] += 1
+            assign[i] = j
+            dfs(i + 1, rest - items[i])
+            sums[j] -= items[i]
+            counts[j] -= 1
+
+    dfs(0, sum(items))
+    return Fraction(best[0]), best[1]
+
+
+def weight_vectors(min_agents, max_agents):
+    # Integer weights normalized to sum 1; ties are likely with weights 1-4.
+    return st.lists(st.integers(1, 4), min_size=min_agents, max_size=max_agents).map(
+        lambda ws: tuple(Fraction(w, sum(ws)) for w in ws)
+    )
+
+
+HUGE = 10**30
+ODD_DENOMINATORS = (
+    (Fraction(74, 100), Fraction(13, 100), Fraction(13, 100)),
+    (Fraction(2, 5), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 12), max_size=8),
+    weight_vectors(2, 4) | st.sampled_from(ODD_DENOMINATORS),
+    st.sampled_from([1, HUGE]),
+)
+@example([], ODD_DENOMINATORS[0], 1)
+@example([5, 4, 4, 0, 3, 2, 2, 1], ODD_DENOMINATORS[0], HUGE)
+@example([7, 7, 6, 5, 3, 3, 1, 0], ODD_DENOMINATORS[1], 1)
+@example([9, 8, 8, 2, 2, 1], (Fraction(1, 4),) * 4, HUGE)
+@example([3, 0, 0, 3], (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)), 1)
+def test_weighted_search_matches_fraction_search(values, entitlements, c):
+    # Ratio and witness both: the integer keys must keep the search order.
+    # The +1 on large values keeps huge instances from being exact
+    # multiples of small ones.
+    scaled = [v * c + (v > 6) for v in values]
+    ratio, assignment = weighted_maximin_partition(
+        Instance(tuple(scaled)), entitlements
+    )
+    assert (ratio, assignment.part_of) == fraction_weighted_search(scaled, entitlements)
+    assert assignment.d == len(entitlements)
+
+
+def subset_sum_scan(values, t_i):
+    # Every two-way split scored directly, one subset at a time.
+    from itertools import combinations
+
+    total = sum(values)
+    if t_i == 1:
+        return Fraction(total)
+    return t_i * max(
+        min(Fraction(sum(subset)) / t_i, Fraction(total - sum(subset)) / (1 - t_i))
+        for size in range(len(values) + 1)
+        for subset in combinations(values, size)
+    )
+
+
+entitlements_up_to_1 = st.integers(2, 12).flatmap(
+    lambda den: st.integers(1, den).map(lambda num: Fraction(num, den))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 30), max_size=9),
+    entitlements_up_to_1,
+    st.sampled_from([1, HUGE]),
+)
+@example([], Fraction(1, 3), 1)
+@example([], Fraction(1), 1)
+@example([0, 0, 0], Fraction(2, 5), 1)
+@example([4, 6], Fraction(1), HUGE)
+@example([40, 60], Fraction(2, 5), 1)  # a subset sum equals t_i * T
+@example([3, 3, 2, 2], Fraction(1, 2), HUGE)  # and here
+@example([7, 1, 1], Fraction(1, 9), HUGE)
+def test_bmms_matches_subset_scan(values, t_i, c):
+    scaled = [v * c for v in values]
+    assert bmms_value(Instance(tuple(scaled)), t_i) == subset_sum_scan(scaled, t_i)
+
+
+def test_agent_shares_computes_each_share_once(monkeypatch):
+    instance = Instance((9, 7, 6, 5, 3, 2, 1))
+    # Two agents share 2/9, and 2/9 and 1/5 both need the 1-out-of-5 share.
+    t = EntitlementVector(
+        (Fraction(2, 9), Fraction(1, 5), Fraction(2, 9), Fraction(16, 45))
+    )
+    expected = [
+        (
+            omms_requirements(instance, t_i),
+            wmms_value(instance, t, i),
+            bmms_value(instance, t_i),
+        )
+        for i, t_i in enumerate(t)
+    ]
+    calls = {"mms": [], "non_dominated_pairs": [], "bmms_value": []}
+
+    def counted(name, key):
+        # Records argument `key` of each call: the pair or the entitlement.
+        real = getattr(criteria, name)
+
+        def wrapper(*args):
+            calls[name].append(args[key])
+            return real(*args)
+
+        return wrapper
+
+    for name, key in (("mms", 1), ("non_dominated_pairs", 0), ("bmms_value", 1)):
+        monkeypatch.setattr(criteria, name, counted(name, key))
+    assert agent_shares(instance, t) == expected
+    distinct = [Fraction(2, 9), Fraction(1, 5), Fraction(16, 45)]
+    assert calls["non_dominated_pairs"] == distinct
+    assert calls["bmms_value"] == distinct
+    assert len(calls["mms"]) == len(set(calls["mms"]))
+    assert set(calls["mms"]) == {p for reqs, _, _ in expected for p, _ in reqs}
+
+
+def test_agent_shares_first_refusal_is_unchanged():
+    # Agent 1 (2/5) needs 5 parts and agent 2 (4/15) needs 4: the refusal
+    # names the first share beyond the bound in agent order.
+    instance = Instance((5, 4, 3, 2, 1))
+    t = EntitlementVector((Fraction(1, 3), Fraction(2, 5), Fraction(4, 15)))
+    with pytest.raises(InstanceTooLargeError, match="into 5 parts"):
+        agent_shares(instance, t, SearchLimits(max_items=16, max_parts=3))
