@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -122,7 +123,7 @@ def _exec_pairs(inputs: dict) -> tuple[int, dict]:
     a = parse_rational(inputs["entitlement"])
     m = int(inputs["item_count"])
     candidates = candidate_pairs(a, m)
-    trace = filtration_trace(a, m)
+    trace = filtration_trace(a, m, candidates)
     removed = {t.removed for t in trace}
     outputs = {
         "entitlement": format_rational(a),
@@ -348,8 +349,19 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with "-" and a digit or ".", such as
+    "-1/2,3/2", as a value: no option of this CLI looks like that, and the
+    value's own parser gives the real error."""
+
+    def _parse_optional(self, arg_string):
+        if re.match(r"-[\d.]", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mmsfair",
         description="Exact maximin-share fairness toolkit for unequal entitlements.",
     )

@@ -212,15 +212,19 @@ def bmms_value(
 
 
 def agent_shares(
-    instance: Instance, t: EntitlementVector, limits: SearchLimits = DEFAULT_LIMITS
+    instance: Instance,
+    t: EntitlementVector,
+    limits: SearchLimits = DEFAULT_LIMITS,
+    shares: dict[MmsPair, Value] | None = None,
 ) -> list[tuple[list[tuple[MmsPair, Value]], Fraction, Fraction]]:
     """(OMMS requirements, WMMS value, BMMS value) of every agent, in agent
     order. One labeled-partition search serves all agents' WMMS values;
     agents with equal entitlements share their OMMS and BMMS values, and
     each share value is computed once. Shares are computed in first-use
-    order, so the first refusal is the one the agents meet in order."""
+    order, so the first refusal is the one the agents meet in order.
+    `shares` is as in `omms_requirements`."""
     best_ratio, _ = weighted_maximin_partition(instance, t.entitlements, limits)
-    shares: dict[MmsPair, Value] = {}
+    shares = {} if shares is None else shares
     by_entitlement: dict[Fraction, tuple[list[tuple[MmsPair, Value]], Fraction]] = {}
     for t_i in t:
         if t_i not in by_entitlement:

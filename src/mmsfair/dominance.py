@@ -35,8 +35,12 @@ def dominates(p: MmsPair, p_prime: MmsPair) -> bool:
     Also defined for l = 0 on either side: a 0-out-of-d share is the empty
     union, which everything dominates.
     """
-    dec = decompose(p.d, p_prime.d)
-    return dec.q * p.l - min(p.l, dec.r) >= p_prime.l
+    # decompose(p.d, p_prime.d) inline (MmsPair already keeps d >= 1) and
+    # no min() call: the pair filtration makes O(m*|S|) of these calls.
+    l, d = p.l, p.d
+    q = -(-p_prime.d // d)
+    r = q * d - p_prime.d
+    return q * l - (l if l < r else r) >= p_prime.l
 
 
 def corollary_case(p: MmsPair, p_prime: MmsPair) -> str | None:

@@ -5,13 +5,18 @@ per d in 1..m with l_d the largest integer satisfying l_d / d <= a, then
 drop every candidate dominated by another one. Checking the survivors is
 equivalent to checking every pair with l/d <= a: larger part counts are
 covered by the bundle-size reduction, dominated pairs by the survivors.
+
+The filter checks each candidate, in ascending d, against the survivors
+so far only: O(m*|S|) dominance tests for |S| survivors. Dominance is
+transitive, so whatever a dropped candidate dominates, the survivor that
+dropped it dominates too.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import MmsPair, rational_floor_mul
+from .core import MmsPair, check_entitlement
 from .dominance import corollary_case, decompose, dominates
 
 
@@ -39,22 +44,22 @@ def candidate_pairs(a: Fraction, m: int) -> list[MmsPair]:
     """One candidate (l_d, d) per d in 1..m; rejects m < 1 or a outside (0, 1]."""
     if m < 1:
         raise ValueError(f"item count must be at least 1, got {m}")
-    return [MmsPair(rational_floor_mul(a, d), d) for d in range(1, m + 1)]
+    check_entitlement(a)
+    num, den = a.numerator, a.denominator
+    return [MmsPair(num * d // den, d) for d in range(1, m + 1)]
 
 
 def _survivors(cands: list[MmsPair]) -> list[MmsPair]:
     # A candidate is dropped when another candidate dominates it strictly,
     # or mutually with a smaller d (mutual dominance means the share values
     # coincide on every instance, so the smallest d is kept as the
-    # representative). Order independent.
-    kept = []
+    # representative). In ascending d every kept s has the smaller d, so
+    # s drops p exactly when s dominates p, and p, not dropped, drops s
+    # exactly when p dominates s.
+    kept: list[MmsPair] = []
     for p in cands:
-        eliminated = any(
-            dominates(q, p) and (not dominates(p, q) or q.d < p.d)
-            for q in cands
-            if q is not p
-        )
-        if not eliminated:
+        if not any(dominates(s, p) for s in kept):
+            kept = [s for s in kept if not dominates(p, s)]
             kept.append(p)
     return kept
 
@@ -68,21 +73,27 @@ def non_dominated_pairs(a: Fraction, m: int) -> PairSet:
 def _attribute(removed: MmsPair, survivors: list[MmsPair]) -> MmsPair:
     # Credit each removal to the smallest-d survivor whose dominance follows
     # from a shortcut rule; fall back to the smallest-d dominating survivor.
-    # Every removed candidate is dominated by at least one survivor.
-    doms = [s for s in survivors if s != removed and dominates(s, removed)]
-    if removed.l >= 1:
-        with_case = [
-            s for s in doms if s.l >= 1 and corollary_case(s, removed) is not None
-        ]
-        if with_case:
-            return with_case[0]
-    return doms[0]
+    first = None
+    for s in survivors:
+        if dominates(s, removed):
+            if removed.l >= 1 and s.l >= 1 and corollary_case(s, removed) is not None:
+                return s
+            if first is None:
+                first = s
+    # Every removed candidate has a dominating survivor. Raised explicitly,
+    # not asserted, so that `python -O` keeps the check.
+    if first is None:
+        raise AssertionError(f"no survivor dominates the removed {removed}")
+    return first
 
 
-def filtration_trace(a: Fraction, m: int) -> list[Removal]:
+def filtration_trace(
+    a: Fraction, m: int, candidates: list[MmsPair] | None = None
+) -> list[Removal]:
     """Audit of every removal; candidates minus the removed entries equal
-    the surviving PairSet."""
-    cands = candidate_pairs(a, m)
+    the surviving PairSet. A caller that already holds
+    `candidate_pairs(a, m)` passes it as `candidates`."""
+    cands = candidate_pairs(a, m) if candidates is None else candidates
     survivors = _survivors(cands)
     keep = set(survivors)
     trace = []

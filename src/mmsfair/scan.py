@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence
 
-from .core import EntitlementVector, Instance, Value, format_rational
+from .core import EntitlementVector, Instance, MmsPair, Value, format_rational
 from .criteria import agent_shares
 from .engine import DEFAULT_LIMITS, SearchLimits
 
@@ -147,8 +147,9 @@ def scan_one(
     instance: Instance,
     t: EntitlementVector,
     limits: SearchLimits = DEFAULT_LIMITS,
+    shares: dict[MmsPair, Value] | None = None,
 ) -> ScanRow:
-    requirements, wmms, bmms = zip(*agent_shares(instance, t, limits))
+    requirements, wmms, bmms = zip(*agent_shares(instance, t, limits, shares))
     omms_max = tuple(max((v for _, v in r), default=0) for r in requirements)
     idx = range(len(t))
     return ScanRow(
@@ -181,6 +182,8 @@ def notion_separation_scan(
     rows = []
     for items in _instances(max_items, value_grid, max_instances, seed):
         instance = Instance(items)
+        # Share values depend on the instance and the pair only.
+        shares: dict[MmsPair, Value] = {}
         for t in entitlement_grid:
-            rows.append(scan_one(instance, t, limits))
+            rows.append(scan_one(instance, t, limits, shares))
     return ScanReport(rows=tuple(rows), seed=seed)

@@ -397,3 +397,84 @@ def test_audit_command_line_fuzz(argv):
         assert "error: " in err.getvalue()
     else:
         assert err.getvalue().startswith("refused: ")
+
+
+# Bad values for the two commands; a command line gets at most one of them.
+BAD_PAIRS_VALUES = {
+    "entitlement": ["0", "-1/2", "-0.5", "3/2", "x", "1/0", "nan", ""],
+    "items-count": ["x", "1.5", "-1/2"],
+}
+BAD_CONDITION_VALUES = ["-1", "-3", "0", "x", "1/2", "-1/2", ""]
+
+
+@st.composite
+def pairs_argv(draw):
+    values = {
+        "entitlement": str(
+            draw(st.fractions(min_value=Fraction(1, 1000), max_value=1, max_denominator=1000))
+        ),
+        "items-count": str(draw(st.integers(-5, 2000))),
+    }
+    fault = draw(st.sampled_from([None, None, *BAD_PAIRS_VALUES]))
+    if fault:
+        values[fault] = draw(st.sampled_from(BAD_PAIRS_VALUES[fault]))
+    argv = ["pairs"]
+    for name, value in values.items():
+        argv += [f"--{name}", value]
+    if draw(st.booleans()):
+        argv.append("--trace")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@st.composite
+def dominates_argv(draw):
+    d, d_prime = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    values = [draw(st.integers(0, d)), d, draw(st.integers(0, d_prime)), d_prime]
+    if draw(st.booleans()):
+        values[draw(st.integers(0, 3))] = draw(st.sampled_from(BAD_CONDITION_VALUES))
+    argv = ["dominates", *map(str, values)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs_argv() | dominates_argv())
+def test_pairs_and_dominates_command_line_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        assert not err.getvalue()
+        if "--json" in argv:
+            assert json.loads(out.getvalue())["command"] == argv[0]
+    elif code == 2:
+        assert "error: " in err.getvalue()
+    else:
+        assert err.getvalue().startswith("refused: ")
+
+
+@pytest.mark.parametrize("joined", [False, True])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["audit", "--items", "1,2", "--allocation", "0;1", "--entitlements", "-1/2,3/2"],
+         "entitlements must be positive, got -1/2"),
+        (["audit", "--entitlements", "1/2,1/2", "--allocation", "0;1", "--items", "-1,2"],
+         "item value must be non-negative, got -1"),
+        (["pairs", "--items-count", "3", "--entitlement", "-1/2"],
+         "entitlement must satisfy 0 < a <= 1, got -1/2"),
+        (["mms", "--pair", "1/2", "--items", "-1,2"], "item value must be non-negative, got -1"),
+        (["mms", "--items", "1,2", "--pair", "-1/2"], "need 0 <= l <= d, got l=-1, d=2"),
+    ],
+)
+def test_value_starting_with_dash_reaches_its_parser(capsys, argv, message, joined):
+    # "--flag -1/2" and "--flag=-1/2" give the same error.
+    if joined:
+        argv = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")

@@ -6,9 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmsfair.core import Instance, MmsPair, rational_floor_mul
-from mmsfair.dominance import dominates
+from mmsfair.dominance import corollary_case, decompose, dominates
 from mmsfair.engine import mms
-from mmsfair.pairs import Removal, candidate_pairs, filtration_trace, non_dominated_pairs
+from mmsfair.pairs import (
+    Removal,
+    _attribute,
+    candidate_pairs,
+    filtration_trace,
+    non_dominated_pairs,
+)
 
 entitlements = st.fractions(min_value=Fraction(1, 100), max_value=1)
 
@@ -127,3 +133,66 @@ def test_removed_conditions_are_weaker_on_instances():
                 assert (
                     mms(instance, step.by).value >= mms(instance, step.removed).value
                 )
+
+
+# Reference filtration: every candidate against every other one, both ways,
+# O(m^2) dominance tests. The oracle for the incremental filter.
+def _oracle_survivors(cands):
+    kept = []
+    for p in cands:
+        eliminated = any(
+            dominates(q, p) and (not dominates(p, q) or q.d < p.d)
+            for q in cands
+            if q is not p
+        )
+        if not eliminated:
+            kept.append(p)
+    return kept
+
+
+def _oracle_attribute(removed, survivors):
+    doms = [s for s in survivors if s != removed and dominates(s, removed)]
+    if removed.l >= 1:
+        with_case = [
+            s for s in doms if s.l >= 1 and corollary_case(s, removed) is not None
+        ]
+        if with_case:
+            return with_case[0]
+    return doms[0]
+
+
+def _oracle_filtration(a, m):
+    cands = candidate_pairs(a, m)
+    survivors = _oracle_survivors(cands)
+    trace = []
+    for p in cands:
+        if p not in survivors:
+            by = _oracle_attribute(p, survivors)
+            dec = decompose(by.d, p.d)
+            trace.append(Removal(removed=p, by=by, q=dec.q, r=dec.r))
+    return tuple(survivors), trace
+
+
+def _assert_matches_oracle(a, m):
+    survivors, trace = _oracle_filtration(a, m)
+    assert non_dominated_pairs(a, m).pairs == survivors
+    assert filtration_trace(a, m) == trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 200).flatmap(lambda q: st.tuples(st.integers(1, q), st.just(q))),
+       st.integers(1, 80))
+def test_filtration_matches_quadratic_oracle(pq, m):
+    _assert_matches_oracle(Fraction(*pq), m)
+
+
+@pytest.mark.parametrize("m", [300, 600])
+@pytest.mark.parametrize("a", ["74/100", "73/100", "1", "1/m"])
+def test_filtration_matches_quadratic_oracle_at_large_m(a, m):
+    _assert_matches_oracle(Fraction(1, m) if a == "1/m" else Fraction(a), m)
+
+
+def test_attribute_raises_when_no_survivor_dominates():
+    # An explicit raise, so it also holds under python -O.
+    with pytest.raises(AssertionError, match="no survivor dominates"):
+        _attribute(MmsPair(3, 4), [MmsPair(1, 2)])

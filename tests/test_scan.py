@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mmsfair import criteria
 from mmsfair.core import EntitlementVector
 from mmsfair.scan import (
     CSV_COLUMNS,
@@ -89,3 +90,19 @@ def test_report_serialization_round_trip():
 def test_scan_rejects_negative_max_instances():
     with pytest.raises(ValueError, match="max_instances"):
         notion_separation_scan(2, [40, 60], [T_40_60], max_instances=-1)
+
+
+def test_scan_computes_each_share_once_per_instance(monkeypatch):
+    # 3/5 is in both vectors, so both need its shares on every instance.
+    grid = [T_40_60, T_SKEW]
+    expected = notion_separation_scan(3, [0, 1, 40, 60], grid)
+    calls = []
+    real = criteria.mms
+
+    def counted(instance, pair, limits):
+        calls.append((instance.items, pair))
+        return real(instance, pair, limits)
+
+    monkeypatch.setattr(criteria, "mms", counted)
+    assert notion_separation_scan(3, [0, 1, 40, 60], grid) == expected
+    assert calls and len(calls) == len(set(calls))
