@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 from dataclasses import dataclass
@@ -350,12 +349,17 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a token that starts with "-" and a digit or ".", such as
-    "-1/2,3/2", as a value: no option of this CLI looks like that, and the
-    value's own parser gives the real error."""
+    """Reads a token that starts with a single "-" and is not one of the
+    parser's option strings, such as "-1/2,3/2" or "-x", as a value: the
+    only single-dash option is "-h", and the value's own parser gives the
+    real error."""
 
     def _parse_optional(self, arg_string):
-        if re.match(r"-[\d.]", arg_string):
+        if (
+            arg_string.startswith("-")
+            and not arg_string.startswith("--")
+            and arg_string not in self._option_string_actions
+        ):
             return None
         return super()._parse_optional(arg_string)
 

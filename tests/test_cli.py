@@ -478,3 +478,29 @@ def test_value_starting_with_dash_reaches_its_parser(capsys, argv, message, join
     if joined:
         argv = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("joined", [False, True])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mms", "--pair", "1/2", "--items", "-x"], "bad item list: '-x'"),
+        (["mms", "--items", "1,2", "--pair", "-x"], "expected 'l/d', got '-x'"),
+        (["pairs", "--items-count", "3", "--entitlement", "-x"],
+         "not a rational number: '-x'"),
+        (["audit", "--items", "1,2", "--entitlements", "1/2,1/2", "--allocation", "-x"],
+         "bad allocation segment '-x'"),
+    ],
+)
+def test_single_dash_word_reaches_its_parser(capsys, argv, message, joined):
+    # A single-dash token that is no option of the parser ("-x") is a
+    # value in both forms, as "-1/2" is.
+    if joined:
+        argv = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_single_dash_help_is_still_an_option(capsys):
+    code, out, err = run(capsys, "mms", "-h")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: mmsfair mms")

@@ -1,12 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmsfair import criteria
-from mmsfair.core import EntitlementVector, Instance, InstanceTooLargeError, MmsPair
+from mmsfair.core import (
+    EntitlementVector,
+    Instance,
+    InstanceTooLargeError,
+    MmsPair,
+    PartitionAssignment,
+)
 from mmsfair.criteria import (
     Allocation,
     agent_shares,
@@ -298,6 +305,134 @@ def test_weighted_search_matches_fraction_search(values, entitlements, c):
     )
     assert (ratio, assignment.part_of) == fraction_weighted_search(scaled, entitlements)
     assert assignment.d == len(entitlements)
+
+
+def wmms_subset_dp(values, entitlements):
+    """Best min_j V(part_j) / t_j by a DP over (agent, subset of items):
+    after agent k, best[S] is the best min over agents 0..k of a split of
+    exactly the items in bitmask S. No item order, no pruning."""
+    m, n = len(values), len(entitlements)
+    full = (1 << m) - 1
+    sums = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
+    best = [Fraction(s) / entitlements[0] for s in sums]
+    for k in range(1, n):
+        share = [Fraction(s) / entitlements[k] for s in sums]
+        step = []
+        for mask in range(full + 1) if k < n - 1 else [full]:
+            top, sub = None, mask
+            while True:
+                ratio = min(best[mask ^ sub], share[sub])
+                if top is None or ratio > top:
+                    top = ratio
+                if sub == 0:
+                    break
+                sub = (sub - 1) & mask
+            step.append(top)
+        best = step
+    return best[-1]
+
+
+def witness_ratio(values, entitlements, assignment):
+    sums = assignment.part_sums(sorted(values, reverse=True))
+    return min(Fraction(s) / t for s, t in zip(sums, entitlements))
+
+
+def normalized(*ws):
+    return tuple(Fraction(w, sum(ws)) for w in ws)
+
+
+# (seed, item count, entitlements, value scale): ties, zeros, odd
+# denominators and 10**30 values, 10-11 items, 2-4 agents. The DP takes
+# 0.2-0.6 s per case.
+SUBSET_DP_CASES = [
+    (1, 11, normalized(1, 1), 1),
+    (2, 11, normalized(74, 26), HUGE),
+    (3, 11, normalized(1, 1, 1), 1),
+    (4, 11, normalized(74, 13, 13), HUGE),
+    (5, 10, normalized(3, 1, 1), 1),
+    (6, 11, normalized(1, 7, 13), 1),
+    (7, 10, normalized(1, 1, 1, 1), HUGE),
+    (8, 10, normalized(74, 10, 10, 6), 1),
+    (9, 10, normalized(2, 1, 1, 1), 1),
+    (10, 10, normalized(1, 2, 3, 4), 10**6),
+]
+
+
+@pytest.mark.parametrize("seed, m, entitlements, c", SUBSET_DP_CASES)
+def test_weighted_search_matches_subset_dp(seed, m, entitlements, c):
+    # Past the reach of the Fraction search oracle; values 0-12 give zeros
+    # and ties, and the +1 keeps huge values from being exact multiples.
+    rng = random.Random(seed)
+    values = [v * c + (v > 6) for v in (rng.randint(0, 12) for _ in range(m))]
+    ratio, assignment = weighted_maximin_partition(Instance(tuple(values)), entitlements)
+    assert ratio == wmms_subset_dp(values, entitlements)
+    assert witness_ratio(values, entitlements, assignment) == ratio
+
+
+def identical_items_ratio(m, entitlements):
+    # Best min_j n_j / t_j over count vectors (n_1, ..., n_k) summing to m,
+    # one per placement of k - 1 bars among m + k - 1 slots.
+    k = len(entitlements)
+    best = None
+    for bars in combinations(range(m + k - 1), k - 1):
+        edges = (-1, *bars, m + k - 1)
+        counts = [b - a - 1 for a, b in zip(edges, edges[1:])]
+        ratio = min(Fraction(n_j) / t for n_j, t in zip(counts, entitlements))
+        best = ratio if best is None or ratio > best else best
+    return best
+
+
+# The audit vectors of 2-4 agents, and four unequal agents.
+IDENTICAL_ITEMS_VECTORS = [
+    normalized(1, 1),
+    normalized(74, 26),
+    normalized(2, 3),
+    normalized(1, 1, 1),
+    normalized(74, 13, 13),
+    normalized(3, 1, 1),
+    normalized(1, 1, 1, 1),
+    normalized(74, 10, 10, 6),
+    normalized(2, 1, 1, 1),
+    normalized(1, 2, 3, 4),
+]
+
+
+@pytest.mark.parametrize("entitlements", IDENTICAL_ITEMS_VECTORS)
+@pytest.mark.parametrize("m", [14, 16])
+def test_weighted_search_on_identical_items(entitlements, m):
+    expected = identical_items_ratio(m, entitlements)
+    for c in (1, 10**6, HUGE):
+        ratio, assignment = weighted_maximin_partition(Instance((c,) * m), entitlements)
+        assert ratio == c * expected
+        assert witness_ratio([c] * m, entitlements, assignment) == ratio
+
+
+def test_weighted_search_on_sixteen_near_equal_items():
+    # Without the item-count check this search runs for minutes. Every part
+    # sum lies between n_j * min and n_j * max, so the ratio lies between
+    # the identical-item ratios at the smallest and the largest value.
+    entitlements = normalized(1, 2, 3, 4)
+    rng = random.Random(16)
+    values = [10**6 + rng.randint(0, 50) for _ in range(16)]
+    ratio, assignment = weighted_maximin_partition(Instance(tuple(values)), entitlements)
+    assert witness_ratio(values, entitlements, assignment) == ratio
+    counts_ratio = identical_items_ratio(16, entitlements)
+    assert min(values) * counts_ratio <= ratio <= max(values) * counts_ratio
+
+
+def test_weighted_search_raises_when_start_is_never_beaten(monkeypatch):
+    monkeypatch.setattr(criteria, "_greedy_key", lambda gains, n: 10**9)
+    with pytest.raises(AssertionError, match="witness None"):
+        weighted_maximin_partition(INTRO, normalized(1, 1))
+
+
+def test_weighted_search_raises_when_witness_misses_ratio(monkeypatch):
+    monkeypatch.setattr(PartitionAssignment, "part_sums", lambda self, items: [0] * self.d)
+    with pytest.raises(AssertionError, match="does not reach"):
+        weighted_maximin_partition(INTRO, normalized(1, 1))
 
 
 def subset_sum_scan(values, t_i):
