@@ -6,18 +6,24 @@ searches part assignments depth first in lex order (parts numbered by
 first use) and keeps strict improvements only, so its witness is the
 lex-first optimum, which no pruning rule cuts: the water-filling bound
 (part sums sorted once per node) cuts subtrees that cannot beat the
-incumbent; the last item is placed in closed form (the sum of the l
-smallest is Schur-concave, so a smallest part is its best home; each
-allowed part scores in O(1), first maximum kept); an item equal to its
-predecessor never goes to an earlier part (swapping equal items keeps the
-part sums and first-use order and lowers the vector); and the search
-stops at the root bound l*T//d. `brute_force_mms` is the deliberately
-dumb reference oracle used by the tests; `mms_cardinality` is the closed
-form for identical unit-valued items.
+incumbent; so does the item-count check (beating `best` puts the l-th
+smallest final part, and every part above it, at h = ceil((best + 1) / l)
+or more, so the d-l+1 largest parts each need their own items up to h:
+their shortfalls must fit in the remaining value, and the fewest of the
+largest remaining items that cover each must fit in the remaining count);
+zeros are left out and put in part 0; the last item is placed in closed
+form (the sum of the l smallest is Schur-concave, so a smallest part is
+its best home; each allowed part scores in O(1), first maximum kept); an
+item equal to its predecessor never goes to an earlier part (swapping
+equal items keeps the part sums and first-use order and lowers the
+vector); and the search stops at the root bound l*T//d. `brute_force_mms`
+is the deliberately dumb reference oracle used by the tests;
+`mms_cardinality` is the closed form for identical unit-valued items.
 """
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -112,14 +118,19 @@ def mms(
     if l == 0:  # the empty union: no search, so nothing to refuse
         return MmsResult(0, PartitionAssignment((0,) * m, d))
     limits.check(m, d)
+    # Zeros come last and change no part sum: the search leaves them out,
+    # and the witness puts them in part 0, as the lex-first optimum does.
+    zeros = (0,) * items.count(0)
+    items, m = items[: m - len(zeros)], m - len(zeros)
     if m == 0:
-        return MmsResult(0, PartitionAssignment((), d))
+        return MmsResult(0, PartitionAssignment(zeros, d))
 
-    rest = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        rest[i] = rest[i + 1] + items[i]
-
-    root = l * rest[0] // d
+    # prefix[k] is the sum of the k largest items, so items i.. hold
+    # total - prefix[i], and the fewest of them whose sum reaches x are
+    # bisect_left(prefix, prefix[i] + x, i) - i (m - i + 1 if none do).
+    prefix = [0, *itertools.accumulate(items)]
+    total = prefix[m]
+    root = l * total // d
     best_value = _greedy_value(items, l, d) - 1
     best_assign: tuple[int, ...] = ()
     sums = [0] * d
@@ -149,7 +160,18 @@ def mms(
                     assign[i] = k
                     best_assign = tuple(assign)
             return best_value == root
-        if _upper_bound(asc, rest[i], l, d) <= best_value:
+        rest = total - prefix[i]
+        if _upper_bound(asc, rest, l, d) <= best_value:
+            return False
+        # Beating best puts the l-th smallest final part at h or above, so
+        # the d-l+1 largest parts each need their own items up to h.
+        h = (best_value + l) // l
+        need = count = 0
+        for s in asc[l - 1:]:
+            if s < h:
+                need += h - s
+                count += bisect_left(prefix, prefix[i] + h - s, i) - i
+        if need > rest or count > m - i:
             return False
         for k in range(first, stop):
             sums[k] += v
@@ -160,9 +182,9 @@ def mms(
         return False
 
     dfs(0, 0)
-    witness = PartitionAssignment(best_assign, d)
+    witness = PartitionAssignment(best_assign + zeros, d)
     # Raised explicitly, not asserted, so that `python -O` keeps the check.
-    if min_l_union(witness.part_sums(items), l) != best_value:
+    if min_l_union(witness.part_sums(items + zeros), l) != best_value:
         raise AssertionError(f"witness {best_assign} does not reach {best_value}")
     return MmsResult(best_value, witness)
 

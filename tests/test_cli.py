@@ -459,6 +459,82 @@ def test_pairs_and_dominates_command_line_fuzz(argv):
         assert err.getvalue().startswith("refused: ")
 
 
+# Bad values for `mms` and `scan`; a command line gets at most one of them.
+BAD_MMS_VALUES = {
+    "items": ["1,x", "1.5", "-3", "x"],
+    "pair": ["3/2", "11/10", "0/0", "1/0", "-1/2", "1", "x", "1/x", ""],
+}
+BAD_SCAN_VALUES = {
+    "values": ["x", "1.5", "-3", "1,,y"],
+    "entitlements": ["0,1", "1/0,1", "nan,1", "1/3,1/3", "x", "1/2,1/2;x"],
+    "max-items": ["x", "1.5"],
+    "max-instances": ["-1", "x"],
+}
+SCAN_VECTORS = ["1/2,1/2", "2/5,3/5", "74/100,26/100", "3/5,1/5,1/5", "1/4,1/4,1/4,1/4"]
+
+
+@st.composite
+def mms_argv(draw):
+    items = draw(
+        st.lists(st.integers(0, 50) | st.integers(10**6, 10**6 + 50) | st.just(10**30), max_size=10)
+    )
+    d = draw(st.integers(1, 10))
+    values = {"items": _csv(items), "pair": f"{draw(st.integers(0, d))}/{d}"}
+    fault = draw(st.sampled_from([None, None, *BAD_MMS_VALUES]))
+    if fault:
+        values[fault] = draw(st.sampled_from(BAD_MMS_VALUES[fault]))
+    argv = ["mms", "--items", values["items"], "--pair", values["pair"]]
+    for flag in ("--max-items", "--max-parts"):
+        if draw(st.booleans()):
+            argv += [flag, str(draw(st.integers(-1, 12)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@st.composite
+def scan_argv(draw):
+    values = {
+        "values": _csv(draw(st.lists(st.integers(0, 60), max_size=3))),
+        "entitlements": ";".join(draw(st.lists(st.sampled_from(SCAN_VECTORS), max_size=2))),
+        "max-items": str(draw(st.integers(-1, 4))),
+        "max-instances": str(draw(st.integers(0, 6))),
+    }
+    fault = draw(st.sampled_from([None, None, *BAD_SCAN_VALUES]))
+    if fault:
+        values[fault] = draw(st.sampled_from(BAD_SCAN_VALUES[fault]))
+    argv = ["scan", "--values", values["values"], "--entitlements", values["entitlements"]]
+    argv += ["--max-items", values["max-items"]]
+    if fault == "max-instances" or draw(st.booleans()):
+        argv += ["--max-instances", values["max-instances"]]
+    if draw(st.booleans()):
+        argv += ["--max-parts", str(draw(st.integers(-1, 12)))]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(0, 5)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(mms_argv() | scan_argv())
+def test_mms_and_scan_command_line_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        assert not err.getvalue()
+        if "--json" in argv:
+            assert json.loads(out.getvalue())["command"] == argv[0]
+    elif code == 2:
+        assert "error: " in err.getvalue()
+    else:
+        assert err.getvalue().startswith("refused: ")
+
+
 @pytest.mark.parametrize("joined", [False, True])
 @pytest.mark.parametrize(
     "argv, message",

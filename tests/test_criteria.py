@@ -423,6 +423,20 @@ def test_weighted_search_on_sixteen_near_equal_items():
     assert min(values) * counts_ratio <= ratio <= max(values) * counts_ratio
 
 
+@pytest.mark.parametrize(
+    "entitlements, nodes",
+    [(normalized(1, 2, 3, 4), 137), (normalized(74, 13, 13), 25)],
+)
+def test_weighted_search_strength_is_pinned(dfs_calls, entitlements, nodes):
+    # 12 near-equal items. Counting each part one item short in the
+    # item-count check keeps the answers but takes 1,014,461 and 4,146
+    # nodes; the bound, about four times today's count, fails it at once.
+    values = tuple(10**6 + (37 * k) % 51 for k in range(12))
+    bound = 4 * nodes
+    calls = dfs_calls(weighted_maximin_partition, bound, Instance(values), entitlements)
+    assert calls <= bound
+
+
 def test_weighted_search_raises_when_start_is_never_beaten(monkeypatch):
     monkeypatch.setattr(criteria, "_greedy_key", lambda gains, n: 10**9)
     with pytest.raises(AssertionError, match="witness None"):

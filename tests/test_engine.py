@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -256,3 +257,134 @@ def test_bundle_size_reduction(instance, d, h):
 def test_huge_values_stay_exact(values, pair):
     instance = Instance(tuple(v * 10**6 for v in values))
     assert mms(instance, pair).value == brute_force_mms(instance, pair)
+
+
+def best_smallest_part(values, d):
+    """[f_1(X), ..., f_d(X)] for the whole item set X, where f_k(S) is the
+    best smallest part sum over splits of the items in bitmask S into k
+    possibly-empty parts: f_1(S) = sum S and f_k(S) = max over T in S of
+    min(f_{k-1}(S - T), sum T). T runs over the subsets that hold the lowest
+    item of S (the part that item lands in), which meets every split once.
+    No item order, no pruning, no bound."""
+    m = len(values)
+    full = (1 << m) - 1
+    sums = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
+    best, out = sums, [sums[full]]
+    for k in range(2, d + 1):
+        step = [0] * (full + 1)
+        for mask in range(1, full + 1) if k < d else [full]:
+            low = mask & -mask
+            others = mask ^ low
+            top, sub = None, others
+            while True:
+                part = sub | low
+                rest, own = best[mask ^ part], sums[part]
+                worst = own if own < rest else rest
+                if top is None or worst > top:
+                    top = worst
+                if sub == 0:
+                    break
+                sub = (sub - 1) & others
+            step[mask] = top
+        best = step
+        out.append(best[full])
+    return out
+
+
+def all_but_largest_part(values, d):
+    """[T - makespan_k for k = 1..d]: the best sum of the k-1 smallest of k
+    parts is the total less the least possible largest part. Negating every
+    value turns the smallest part into minus the largest, so the same DP at
+    -values gives minus the makespan."""
+    return [sum(values) + v for v in best_smallest_part([-v for v in values], d)]
+
+
+def _values(kind, m, seed):
+    rng = random.Random(f"{kind}:{m}:{seed}")
+    if kind == "near-equal":
+        return [10**6 + rng.randrange(51) for _ in range(m)]
+    if kind == "huge":
+        return [10**30 + rng.randrange(51) for _ in range(m)]
+    if kind == "1-1000":
+        return [rng.randint(1, 1000) for _ in range(m)]
+    return [rng.choice([0, 0, 3, 3, 3, 8, 8, 13]) for _ in range(m)]  # ties and zeros
+
+
+def _check_witness(values, pair, result):
+    sums = result.witness.part_sums(sorted(values, reverse=True))
+    assert min_l_union(sums, pair.l) == result.value
+
+
+@pytest.mark.parametrize(
+    "kind, m, seed",
+    [
+        ("near-equal", 11, 1),
+        ("near-equal", 12, 2),
+        ("huge", 11, 3),
+        ("1-1000", 11, 4),
+        ("1-1000", 12, 5),
+        ("ties-zeros", 11, 6),
+        ("ties-zeros", 12, 7),
+    ],
+)
+def test_search_matches_subset_dps_past_oracle_reach(kind, m, seed):
+    # 11-12 items, beyond the d**m oracle: l = 1 and l = d-1 for d = 2..6.
+    values = _values(kind, m, seed)
+    instance = Instance(tuple(values))
+    smallest = best_smallest_part(values, 6)
+    all_but_largest = all_but_largest_part(values, 6)
+    for d in range(2, 7):
+        for l, expected in ((1, smallest[d - 1]), (d - 1, all_but_largest[d - 1])):
+            pair = MmsPair(l, d)
+            result = mms(instance, pair)
+            assert result.value == expected, pair
+            _check_witness(values, pair, result)
+
+
+@pytest.mark.parametrize("scale", [10**6, 10**30])
+@pytest.mark.parametrize("m, d", [(11, 6), (12, 8)])
+def test_search_matches_subset_dp_on_hard_benchmark_shapes(m, d, scale):
+    # The l = 1 shapes of the search-worst benchmark: near-equal items.
+    rng = random.Random(f"hard:{m}:{d}")
+    values = [scale + rng.randrange(51) for _ in range(m)]
+    pair = MmsPair(1, d)
+    result = mms(Instance(tuple(values)), pair, SearchLimits(max_parts=d))
+    assert result.value == best_smallest_part(values, d)[d - 1]
+    _check_witness(values, pair, result)
+
+
+def test_subset_dps_match_brute_force():
+    # The two DPs against the d**m oracle, where it reaches.
+    for seed in range(4):
+        values = _values("ties-zeros" if seed % 2 else "1-1000", 6, seed)
+        tables = [brute_force_mms_table(Instance(tuple(values)), d) for d in range(1, 6)]
+        assert best_smallest_part(values, 5) == [t[1] for t in tables]
+        assert all_but_largest_part(values, 5) == [t[d - 1] for d, t in enumerate(tables, 1)]
+
+
+def test_search_strength_is_pinned(dfs_calls):
+    # 16 near-equal items at 1/3 take 534 nodes with the item-count check;
+    # water-filling alone, or counting each part one item short, takes
+    # 839,235. The bound fails a weaker prune at once.
+    values = tuple(10**6 + (37 * k) % 51 for k in range(16))
+    assert dfs_calls(mms, 2000, Instance(values), MmsPair(1, 3)) <= 2000
+
+
+@pytest.mark.parametrize("kind", ["near-equal", "1-1000"])
+def test_metamorphic_properties_at_sixteen_items(kind):
+    # Past every oracle, l = 1: the share scales with the values, ignores
+    # zero-valued items and does not rise with d.
+    values = _values(kind, 16, 0)
+    shares = []
+    for d in range(2, 11):
+        pair = MmsPair(1, d)
+        share = mms(Instance(tuple(values)), pair).value
+        scaled = Instance(tuple(7 * v for v in values))
+        assert mms(scaled, pair).value == 7 * share
+        padded = Instance((0, *values, 0))
+        assert mms(padded, pair, SearchLimits(max_items=18)).value == share
+        shares.append(share)
+    assert shares == sorted(shares, reverse=True)
