@@ -18,23 +18,8 @@ Neither inner loop does Fraction arithmetic. The WMMS search puts the
 entitlements over a common denominator W, so w_j = t_j*W are integers;
 with L = lcm(w) and c_j = L // w_j, each ratio s/t_j is s*c_j * W/L, and
 the search compares the integer keys s*c_j, building one Fraction at the
-end.
-
-The WMMS search walks labeled assignments depth first in lex order, with
-parts of equal entitlement opened in order, and keeps strict improvements
-only, so its witness is the lex-first optimum, which no rule below cuts.
-It starts one below the key of the greedy partition (each item, largest
-first, to the part with the least key), which the optimum beats. At each
-node, every part j below target = best + 1 needs need_j =
-ceil((target - key_j) / c_j) more raw value from items disjoint from the
-other parts'. The node is pruned when the need_j add up to more than the
-remaining value (water-filling), or when the a_j add up to more than the
-remaining item count, where a_j is the fewest of the largest remaining
-items whose sum reaches need_j (found by bisecting prefix sums; the
-cardinality bound of bin covering). An item equal to its predecessor never
-goes to an earlier part (swapping two equal items keeps every part sum and
-lowers the vector), and the last item is placed in closed form. The
-witness is re-checked against the ratio on every call.
+end. It is `engine._search` at l = 1 with scale c_j, parts of equal
+entitlement opened in order; `engine` states its rules.
 
 BMMS still enumerates every subset sum, then bisects the sorted sums for
 t_i*T: the split value rises up to that point and falls after it, so only
@@ -42,12 +27,10 @@ the two sums on either side of it are scored.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
-from operator import mul
 from typing import Sequence
 
 from .core import (
@@ -56,9 +39,8 @@ from .core import (
     MmsPair,
     PartitionAssignment,
     Value,
-    canonicalize,
 )
-from .engine import DEFAULT_LIMITS, SearchLimits, mms
+from .engine import DEFAULT_LIMITS, SearchLimits, _search, mms
 from .pairs import non_dominated_pairs
 
 #: The criterion names, in report order.
@@ -105,16 +87,6 @@ def is_omms_fair(
     return all(bundle_value >= value for _, value in omms_requirements(instance, a, limits))
 
 
-def _greedy_key(gains: Sequence[Sequence[int]], n: int) -> int:
-    # Each item, largest first, to the part with the least key (the first
-    # of equals): a feasible partition, so its smallest key is a lower bound.
-    keys = [0] * n
-    for gain in gains:
-        j = keys.index(min(keys))
-        keys[j] += gain[j]
-    return min(keys)
-
-
 def weighted_maximin_partition(
     instance: Instance,
     entitlements: Sequence[Fraction],
@@ -134,89 +106,20 @@ def weighted_maximin_partition(
     for t in entitlements:
         if t <= 0:
             raise ValueError(f"entitlements must be positive, got {t}")
-    items = canonicalize(instance).items
-    m = len(items)
-    limits.check(m, n)
-    if m == 0:
-        return Fraction(0), PartitionAssignment((), n)
-
+    limits.check(len(instance.items), n)
     # Integer keys as in the module docstring, with den = W, top = L and
     # scale[j] = c_j: s/t_j is s*c_j * W/L.
     den = lcm(*(t.denominator for t in entitlements))
     weights = [t.numerator * (den // t.denominator) for t in entitlements]
     top = lcm(*weights)
     scale = [top // w for w in weights]
-    # Inside a group of equal entitlements the used parts always form a
-    # prefix, so part j may open only once its previous twin is in use.
-    twin_before = [
-        max((j2 for j2 in range(j) if entitlements[j2] == entitlements[j]), default=-1)
-        for j in range(n)
-    ]
-    # keys[j] is agent j's part sum times c_j, and item i adds gains[i][j]
-    # to it. prefix[k] is the sum of the k largest items, so items i..
-    # hold total - prefix[i], and the fewest of them whose sum reaches x
-    # are bisect_left(prefix, prefix[i] + x) - i (m - i + 1 if none do).
-    gains = [[v * c for c in scale] for v in items]
-    prefix = [0, *accumulate(items)]
-    total = prefix[m]
-    keys = [0] * n
-    counts = [0] * n
-    assign = [0] * m
-    best_key = _greedy_key(gains, n) - 1
-    best_assign: tuple[int, ...] | None = None
-    last = m - 1
-
-    def dfs(i: int) -> None:
-        nonlocal best_key, best_assign
-        gain = gains[i]
-        if i == last:
-            # The leaf's smallest key is min(keys[j] + gain[j], the
-            # smallest other key); the first maximum is kept.
-            ordered = sorted(keys)
-            low = ordered[0]
-            low2 = ordered[1] if n > 1 else keys[0] + gain[0]
-        else:
-            # Every part below target needs its own items, disjoint from
-            # the others': together at least their raw shortfalls in value,
-            # and each at least the fewest of the largest items that cover it.
-            target = best_key + 1
-            base = prefix[i]
-            need = count = 0
-            for j in range(n):
-                gap = target - keys[j]
-                if gap > 0:
-                    short = -(-gap // scale[j])
-                    need += short
-                    count += bisect_left(prefix, base + short, i) - i
-            if need > total - base or count > m - i:
-                return
-        first = assign[i - 1] if i and items[i] == items[i - 1] else 0
-        for j in range(first, n):
-            if counts[j] == 0 and twin_before[j] >= 0 and counts[twin_before[j]] == 0:
-                continue
-            if i == last:
-                key = keys[j] + gain[j]
-                other = low2 if keys[j] == low else low
-                if other < key:
-                    key = other
-                if key > best_key:
-                    best_key = key
-                    assign[i] = j
-                    best_assign = tuple(assign)
-                continue
-            keys[j] += gain[j]
-            counts[j] += 1
-            assign[i] = j
-            dfs(i + 1)
-            keys[j] -= gain[j]
-            counts[j] -= 1
-
-    dfs(0)
-    # Raised explicitly, not asserted, so that `python -O` keeps the check.
-    # The optimum beats the greedy start, so no witness at all is a fault.
-    witness = None if best_assign is None else PartitionAssignment(best_assign, n)
-    if witness is None or min(map(mul, witness.part_sums(items), scale)) != best_key:
-        raise AssertionError(f"witness {best_assign} does not reach key {best_key}")
+    # Inside a group of equal entitlements (equal c_j) the used parts always
+    # form a prefix, so part j may open only once its previous twin is in use.
+    twin_before, previous = [], {}
+    for j, c in enumerate(scale):
+        twin_before.append(previous.get(c, -1))
+        previous[c] = j
+    best_key, witness = _search(instance.items, 1, scale, twin_before)
     return Fraction(best_key * den, top), witness
 
 

@@ -1,30 +1,37 @@
 """Exact l-out-of-d maximin-share computation.
 
 The share value is the maximum, over all partitions of the items into d
-possibly-empty parts, of the sum of the l smallest part sums. `mms`
-searches part assignments depth first in lex order (parts numbered by
-first use) and keeps strict improvements only, so its witness is the
-lex-first optimum, which no pruning rule cuts: the water-filling bound
+possibly-empty parts, of the sum of the l smallest part sums. `mms` and
+the WMMS search of `criteria` run one search, `_search`: it maximizes the
+sum of the l smallest keys s_j*scale[j] (s_j: part sums), and part j opens
+only once part twin_before[j] is in use. `mms` has unit scale and each
+part the twin of the one before; WMMS has l = 1, scale c_j and twins of
+equal entitlement; l > 1 comes with unit scale only. The search walks the
+assignments depth first in lex order and keeps strict improvements only,
+so its witness is the lex-first optimum, which no rule cuts. It starts one
+below the greedy partition (each item, largest first, to the part with the
+least key) and stops at the root bound l*T*C // sum(C // scale[j]),
+C = lcm(scale). Zeros go to part 0 outside the search. An item equal to
+its predecessor never goes to an earlier part (swapping equal items keeps
+the part sums and lowers the vector). At l > 1 the water-filling bound
 (part sums sorted once per node) cuts subtrees that cannot beat the
-incumbent; so does the item-count check (beating `best` puts the l-th
-smallest final part, and every part above it, at h = ceil((best + 1) / l)
-or more, so the d-l+1 largest parts each need their own items up to h:
-their shortfalls must fit in the remaining value, and the fewest of the
-largest remaining items that cover each must fit in the remaining count);
-zeros are left out and put in part 0; the last item is placed in closed
-form (the sum of the l smallest is Schur-concave, so a smallest part is
-its best home; each allowed part scores in O(1), first maximum kept); an
-item equal to its predecessor never goes to an earlier part (swapping
-equal items keeps the part sums and first-use order and lowers the
-vector); and the search stops at the root bound l*T//d. `brute_force_mms`
-is the deliberately dumb reference oracle used by the tests;
-`mms_cardinality` is the closed form for identical unit-valued items.
+incumbent. Item counts: beating best puts the l-th smallest final key, and
+every key above it, at h = ceil((best + 1) / l) or more, so each of the
+d-l+1 largest parts (every part at l = 1, where this cuts exactly what
+water-filling would) needs its own items up to its floor ceil(h / scale[j]):
+the shortfalls must fit in the remaining value, and the fewest of the
+largest remaining items that cover each must fit in the remaining count.
+The last item is placed in closed form. The witness is re-checked on every
+call. `brute_force_mms` is the deliberately dumb reference oracle used by
+the tests; `mms_cardinality` is the closed form for identical unit items.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import lcm
+from operator import mul, sub
 from typing import Sequence
 
 from .core import (
@@ -33,7 +40,6 @@ from .core import (
     MmsPair,
     PartitionAssignment,
     Value,
-    canonicalize,
 )
 
 
@@ -79,28 +85,137 @@ def min_l_union(part_sums: Sequence[Value], l: int) -> Value:
     return sum(sorted(part_sums)[:l])
 
 
-def _greedy_value(items: Sequence[Value], l: int, d: int) -> Value:
-    # Longest-processing-time style start: feasible, so a lower bound.
-    sums = [0] * d
+def _greedy_start(items: Sequence[Value], l: int, scale: Sequence[int]) -> Value:
+    # Each item, largest first, to the part with the least key (the first of
+    # equals): a feasible partition, so its l smallest keys are a lower bound.
+    keys = [0] * len(scale)
     for v in items:
-        sums[sums.index(min(sums))] += v
-    return sum(sorted(sums)[:l])
+        j = keys.index(min(keys))
+        keys[j] += v * scale[j]
+    return sum(sorted(keys)[:l])
 
 
 def _upper_bound(asc: list[Value], rest: Value, l: int, d: int) -> Value:
     # Pouring the unassigned total fractionally onto the smallest parts
     # (`asc`: part sums, ascending) maximizes the sum of the l smallest; no
-    # integral completion beats it.
-    prefix = 0
-    for k in range(1, d + 1):
-        prefix += asc[k - 1]
-        if k == d or prefix + rest <= k * asc[k]:
-            if k >= l:
-                return l * (prefix + rest) // k
-            # Water level settles below the k-th part: the poured total is
-            # absorbed entirely by the l smallest parts.
-            return prefix + rest + sum(asc[k:l])
-    raise AssertionError("water level not found")
+    # integral completion beats it. The water covers the k smallest parts.
+    water = rest
+    for k in range(1, d):
+        water += asc[k - 1]
+        if water <= k * asc[k]:
+            break
+    else:
+        k = d
+        water += asc[-1]
+    if k >= l:
+        return l * water // k
+    # The water settles below the l-th part: the l smallest absorb it all.
+    return water + sum(asc[k:l])
+
+
+def _search(
+    items: Sequence[Value], l: int, scale: Sequence[int], twin_before: Sequence[int]
+) -> tuple[Value, PartitionAssignment]:
+    # The search of the module docstring: the best sum of the l smallest keys
+    # and the lex-first assignment over the canonical (non-increasing) item
+    # order that reaches it. l > 1 needs unit scale: part sums are keys there.
+    d = len(scale)
+    canonical = sorted(items, reverse=True)
+    m = len(canonical) - canonical.count(0)
+    zeros = (0,) * (len(canonical) - m)
+    if m == 0:
+        return 0, PartitionAssignment(zeros, d)
+    items = canonical[:m]
+    # prefix[k] is the sum of the k largest items, so items i.. hold
+    # total - prefix[i], and the fewest of them whose sum reaches x are
+    # bisect_left(prefix, prefix[i] + x, i) - i (m - i + 1 if none do).
+    prefix = [0, *itertools.accumulate(items)]
+    total = prefix[m]
+    top = lcm(*scale)
+    root = l * total * top // sum(top // c for c in scale)
+    best = _greedy_start(items, l, scale) - 1
+    best_assign = None
+    # To beat best, each part that counts needs a part sum of floors[j] or
+    # more: its key must reach h = ceil((best + 1) / l) = (best + l) // l.
+    floors = [-(-((best + l) // l) // c) for c in scale]
+    sums = [0] * d
+    assign = [0] * m
+    last = m - 1
+
+    def dfs(i: int) -> bool:
+        # Returns True once the incumbent meets the root bound.
+        nonlocal best, best_assign
+        v = items[i]
+        if l > 1:
+            # The scale is 1 here, so the part sums are the keys.
+            keys = sums
+            asc = sorted(keys)
+            if i == last:
+                # The last item raises the l smallest by at most v, and by
+                # no more than the l+1-th smallest lies above the smallest.
+                ceiling = asc[l] if l < d else asc[-1] + v
+                if sum(asc[:l]) + min(v, ceiling - asc[0]) <= best:
+                    return False
+            elif _upper_bound(asc, total - prefix[i], l, d) <= best:
+                return False
+            # The d-l+1 largest parts share the floor h.
+            low, floor = asc[l - 1:], floors[0]
+        else:
+            # Every part counts, each against its own floor.
+            low, floor = map(sub, sums, floors), 0
+        base = prefix[i]
+        need = count = 0
+        for s in low:
+            if s < floor:
+                short = floor - s
+                need += short
+                count += bisect_left(prefix, base + short, i) - i
+        if need > total - base or count > m - i:
+            return False
+        first = assign[i - 1] if i and v == items[i - 1] else 0
+        if i == last:
+            # Adding g to a key s below the ceiling (the l+1-th smallest key;
+            # none when l == d) raises the l smallest by min(g, ceiling - s).
+            if l == 1:
+                keys = list(map(mul, sums, scale))
+                asc = sorted(keys)
+            base = sum(asc[:l])
+            ceiling = asc[l] if l < d else asc[-1] + v * top
+            for k in range(first, d):
+                s = keys[k]
+                if not s and twin_before[k] >= 0 and not keys[twin_before[k]]:
+                    continue
+                gain = min(v * scale[k], ceiling - s)
+                value = base + gain if gain > 0 else base
+                if value > best:
+                    best = value
+                    assign[i] = k
+                    best_assign = tuple(assign)
+                    h = (best + l) // l
+                    for j, c in enumerate(scale):
+                        floors[j] = -(-h // c)
+            return best == root
+        for k in range(first, d):
+            s = sums[k]
+            # An unused part opens only once its previous twin is in use.
+            if not s and twin_before[k] >= 0 and not sums[twin_before[k]]:
+                continue
+            sums[k] = s + v
+            assign[i] = k
+            if dfs(i + 1):
+                return True
+            sums[k] = s
+        return False
+
+    dfs(0)
+    # Raised explicitly, not asserted, so that `python -O` keeps the check.
+    # The optimum beats the greedy start, so no witness at all is a fault.
+    witness = None if best_assign is None else PartitionAssignment(best_assign + zeros, d)
+    if witness is None or min_l_union(
+        list(map(mul, witness.part_sums(canonical), scale)), l
+    ) != best:
+        raise AssertionError(f"witness {best_assign} does not reach {best}")
+    return best, witness
 
 
 def mms(
@@ -113,80 +228,11 @@ def mms(
     order of first use. Raises InstanceTooLargeError beyond `limits`,
     except for l == 0, which needs no search.
     """
-    items = canonicalize(instance).items
-    m, l, d = len(items), pair.l, pair.d
+    m, l, d = len(instance.items), pair.l, pair.d
     if l == 0:  # the empty union: no search, so nothing to refuse
         return MmsResult(0, PartitionAssignment((0,) * m, d))
     limits.check(m, d)
-    # Zeros come last and change no part sum: the search leaves them out,
-    # and the witness puts them in part 0, as the lex-first optimum does.
-    zeros = (0,) * items.count(0)
-    items, m = items[: m - len(zeros)], m - len(zeros)
-    if m == 0:
-        return MmsResult(0, PartitionAssignment(zeros, d))
-
-    # prefix[k] is the sum of the k largest items, so items i.. hold
-    # total - prefix[i], and the fewest of them whose sum reaches x are
-    # bisect_left(prefix, prefix[i] + x, i) - i (m - i + 1 if none do).
-    prefix = [0, *itertools.accumulate(items)]
-    total = prefix[m]
-    root = l * total // d
-    best_value = _greedy_value(items, l, d) - 1
-    best_assign: tuple[int, ...] = ()
-    sums = [0] * d
-    assign = [0] * m
-    last = m - 1
-
-    def dfs(i: int, opened: int) -> bool:
-        # Returns True once the incumbent meets the root bound.
-        nonlocal best_value, best_assign
-        asc = sorted(sums)
-        v = items[i]
-        first = assign[i - 1] if i and v == items[i - 1] else 0
-        stop = opened + 1 if opened < d else d
-        if i == last:
-            # Adding v to a part of sum s below the ceiling (the l+1-th smallest;
-            # every part counts when l == d) raises the l smallest by
-            # min(v, ceiling - s).
-            base = sum(asc[:l])
-            ceiling = asc[l] if l < d else asc[-1] + v
-            if base + min(v, ceiling - asc[0]) <= best_value:
-                return False
-            for k in range(first, stop):
-                s = sums[k]
-                value = base + min(v, ceiling - s) if s < ceiling else base
-                if value > best_value:
-                    best_value = value
-                    assign[i] = k
-                    best_assign = tuple(assign)
-            return best_value == root
-        rest = total - prefix[i]
-        if _upper_bound(asc, rest, l, d) <= best_value:
-            return False
-        # Beating best puts the l-th smallest final part at h or above, so
-        # the d-l+1 largest parts each need their own items up to h.
-        h = (best_value + l) // l
-        need = count = 0
-        for s in asc[l - 1:]:
-            if s < h:
-                need += h - s
-                count += bisect_left(prefix, prefix[i] + h - s, i) - i
-        if need > rest or count > m - i:
-            return False
-        for k in range(first, stop):
-            sums[k] += v
-            assign[i] = k
-            if dfs(i + 1, opened + 1 if k == opened else opened):
-                return True
-            sums[k] -= v
-        return False
-
-    dfs(0, 0)
-    witness = PartitionAssignment(best_assign + zeros, d)
-    # Raised explicitly, not asserted, so that `python -O` keeps the check.
-    if min_l_union(witness.part_sums(items + zeros), l) != best_value:
-        raise AssertionError(f"witness {best_assign} does not reach {best_value}")
-    return MmsResult(best_value, witness)
+    return MmsResult(*_search(instance.items, l, (1,) * d, range(-1, d - 1)))
 
 
 def brute_force_mms_table(instance: Instance, d: int) -> tuple[Value, ...]:

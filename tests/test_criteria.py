@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmsfair import criteria
+from mmsfair import criteria, engine
 from mmsfair.core import (
     EntitlementVector,
     Instance,
@@ -437,8 +437,35 @@ def test_weighted_search_strength_is_pinned(dfs_calls, entitlements, nodes):
     assert calls <= bound
 
 
+def test_weighted_search_stops_at_the_root_bound(dfs_calls):
+    # Four equal agents on 12 equal items reach the root bound T/4 on the
+    # first partition that beats the greedy start; without the stop the
+    # search takes 21 nodes.
+    instance = Instance((10**6,) * 12)
+    calls = dfs_calls(weighted_maximin_partition, 15, instance, normalized(1, 1, 1, 1))
+    assert calls <= 15
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(0, 9), st.integers(10**6, 10**6 + 50)), max_size=9
+    ),
+    st.integers(1, 5),
+)
+@example([10**6, 10**6, 10**6 + 1, 0, 0], 3)
+def test_equal_entitlements_match_the_one_out_of_d_share(values, d):
+    # The two callers of the one search agree: d equal agents maximize the
+    # smallest part, as the 1-out-of-d share does, with the same witness.
+    instance = Instance(tuple(values))
+    ratio, assignment = weighted_maximin_partition(instance, [Fraction(1, d)] * d)
+    result = mms(instance, MmsPair(1, d))
+    assert ratio == d * result.value
+    assert assignment == result.witness
+
+
 def test_weighted_search_raises_when_start_is_never_beaten(monkeypatch):
-    monkeypatch.setattr(criteria, "_greedy_key", lambda gains, n: 10**9)
+    monkeypatch.setattr(engine, "_greedy_start", lambda items, l, scale: 10**9)
     with pytest.raises(AssertionError, match="witness None"):
         weighted_maximin_partition(INTRO, normalized(1, 1))
 

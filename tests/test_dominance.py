@@ -1,3 +1,8 @@
+import random
+from functools import reduce
+from itertools import combinations
+from operator import or_
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,3 +159,67 @@ def test_bundle_size_reduction_backed_by_oracle():
     assert bundle_size_reduction_applies(MmsPair(1, 3), MmsPair(3, 5), m=3)
     assert not dominates(MmsPair(1, 3), MmsPair(3, 5))
     assert brute_force_mms(skew, MmsPair(1, 3)) >= brute_force_mms(skew, MmsPair(3, 5))
+
+
+def _set_partitions(m, d):
+    # Partitions of items 0..m-1 into at most d blocks, as bitmasks.
+    def extend(i, blocks):
+        if i == m:
+            yield blocks
+            return
+        for b in range(len(blocks)):
+            yield from extend(i + 1, blocks[:b] + [blocks[b] | 1 << i] + blocks[b + 1:])
+        if len(blocks) < d:
+            yield from extend(i + 1, blocks + [1 << i])
+
+    yield from extend(0, [])
+
+
+def ordinal_shares(rank, m, d):
+    """The l-out-of-d shares for l = 0..d under a monotone ordering given by
+    `rank` (a score per item bitmask; higher is better, ties allowed): the
+    best rank, over partitions into d parts, of the worst union of l parts."""
+    best = [None] * (d + 1)
+    for blocks in _set_partitions(m, d):
+        parts = blocks + [0] * (d - len(blocks))
+        for l in range(d + 1):
+            worst = min(rank[reduce(or_, union, 0)] for union in combinations(parts, l))
+            if best[l] is None or worst > best[l]:
+                best[l] = worst
+    return best
+
+
+def _top_k_rank(values, k):
+    # Sum of the k most valuable items of each subset; k = 1 is the max item.
+    m = len(values)
+    return [
+        sum(sorted((values[i] for i in range(m) if mask >> i & 1), reverse=True)[:k])
+        for mask in range(1 << m)
+    ]
+
+
+def _random_monotone_rank(rng, m):
+    # Random scores made monotone: a subset ranks as its best subset.
+    rank = [rng.randrange(8) for _ in range(1 << m)]
+    for mask in range(1 << m):
+        for i in range(m):
+            if mask >> i & 1:
+                rank[mask] = max(rank[mask], rank[mask ^ 1 << i])
+    return rank
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_dominance_sound_for_monotone_orderings(seed):
+    # The theorem holds for every monotone ordering, not only additive
+    # values: max item, the top k items, and a random monotone rank.
+    rng = random.Random(f"ordering:{seed}")
+    m = rng.randint(1, 6)
+    values = [rng.randint(0, 9) for _ in range(m)]
+    ranks = [_top_k_rank(values, k) for k in (1, 2, 3)] + [_random_monotone_rank(rng, m)]
+    pairs = grid_pairs(6)
+    for rank in ranks:
+        shares = {d: ordinal_shares(rank, m, d) for d in range(1, 7)}
+        for p in pairs:
+            for q in pairs:
+                if dominates(p, q):
+                    assert shares[p.d][p.l] >= shares[q.d][q.l], (values, p, q)

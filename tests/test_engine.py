@@ -97,6 +97,14 @@ def test_mms_raises_when_witness_misses_value(monkeypatch):
         mms(INTRO, MmsPair(1, 3))
 
 
+def test_mms_raises_when_start_is_never_beaten(monkeypatch):
+    # No leaf beats a greedy start above the optimum, so there is no witness:
+    # a search fault, raised as such rather than as a bad-input ValueError.
+    monkeypatch.setattr(engine, "_greedy_start", lambda items, l, scale: 10**9)
+    with pytest.raises(AssertionError, match="witness None"):
+        mms(INTRO, MmsPair(1, 3))
+
+
 def test_search_stops_only_at_the_root_bound():
     # The search meets an incumbent of 104, one short of the root bound
     # 210 // 2, before the optimum; only the bound itself may end it early.
@@ -371,6 +379,16 @@ def test_search_strength_is_pinned(dfs_calls):
     # 839,235. The bound fails a weaker prune at once.
     values = tuple(10**6 + (37 * k) % 51 for k in range(16))
     assert dfs_calls(mms, 2000, Instance(values), MmsPair(1, 3)) <= 2000
+
+
+@pytest.mark.parametrize("pair, nodes", [(MmsPair(3, 4), 3839), (MmsPair(4, 5), 13675)])
+def test_search_strength_is_pinned_above_l_one(dfs_calls, pair, nodes):
+    # 12 near-equal items at l >= 2, where the search runs the water-filling
+    # bound (at l = d-1 the item-count check hardly fires here). Without the
+    # bound the search passes the pin, about four times today's count.
+    values = tuple(10**6 + (37 * k) % 51 for k in range(12))
+    bound = 4 * nodes
+    assert dfs_calls(mms, bound, Instance(values), pair) <= bound
 
 
 @pytest.mark.parametrize("kind", ["near-equal", "1-1000"])
