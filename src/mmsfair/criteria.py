@@ -66,7 +66,7 @@ def omms_requirements(
     `shares` holds share values of this instance already known by pair;
     the ones computed here are added to it.
     """
-    m = len(instance)
+    m = len(instance.items)
     if m == 0:
         return []
     shares = {} if shares is None else shares
@@ -156,7 +156,7 @@ def bmms_value(
         raise ValueError(f"entitlement must satisfy 0 < t_i <= 1, got {t_i}")
     # The subset-sum enumeration grows with the item count only; one part
     # keeps the part bound out of it for any max_parts >= 1.
-    limits.check(len(instance), 1)
+    limits.check(len(instance.items), 1)
     total = instance.total()
     if t_i == 1:
         return Fraction(total)
@@ -216,7 +216,7 @@ class Allocation:
             if overlap:
                 raise ValueError(f"item indices assigned twice: {sorted(overlap)}")
             seen |= bundle
-        expected = set(range(len(instance)))
+        expected = set(range(len(instance.items)))
         if seen != expected:
             raise ValueError(
                 "allocation must cover every item index exactly once; "

@@ -13,22 +13,30 @@ below the greedy partition (each item, largest first, to the part with the
 least key) and stops at the root bound l*T*C // sum(C // scale[j]),
 C = lcm(scale). Zeros go to part 0 outside the search. An item equal to
 its predecessor never goes to an earlier part (swapping equal items keeps
-the part sums and lowers the vector). At l > 1 the water-filling bound
-(part sums sorted once per node) cuts subtrees that cannot beat the
-incumbent. Item counts: beating best puts the l-th smallest final key, and
-every key above it, at h = ceil((best + 1) / l) or more, so each of the
-d-l+1 largest parts (every part at l = 1, where this cuts exactly what
-water-filling would) needs its own items up to its floor ceil(h / scale[j]):
+the part sums and lowers the vector). At l > 1 an upper bound cuts subtrees
+that cannot beat the incumbent. With b the smallest item and r items left,
+every completion ends at part sums s_j + n_j*b + x_j, integers n_j >= 0
+summing to r and x_j >= 0 summing to E = rest - r*b. The bound puts each of
+the r units of b on the then smallest part and pours E fractionally onto the
+smallest parts (water-filling). The poured sum of the l smallest is
+symmetric and concave in the part sums, so Schur-concave, and the greedy
+placement is majorized by every other: no completion beats it. At E >= d*b
+the pour covers every part that took a unit (each lies within b of the
+smallest part), so it equals pouring all of rest; units are placed only
+below that. At l = 1 beating best puts every key at best + 1 or more, so
+each part needs its own items up to its floor ceil((best + 1) / scale[j]):
 the shortfalls must fit in the remaining value, and the fewest of the
-largest remaining items that cover each must fit in the remaining count.
-The last item is placed in closed form. The witness is re-checked on every
-call. `brute_force_mms` is the deliberately dumb reference oracle used by
-the tests; `mms_cardinality` is the closed form for identical unit items.
+largest remaining items that cover each must fit in the remaining count
+(this cuts all that water-filling would). The last item is placed in closed
+form. The witness is re-checked on every call. `brute_force_mms` is the
+deliberately dumb reference oracle used by the tests; `mms_cardinality` is
+the closed form for identical unit items.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from heapq import heapreplace
 from dataclasses import dataclass
 from math import lcm
 from operator import mul, sub
@@ -95,10 +103,17 @@ def _greedy_start(items: Sequence[Value], l: int, scale: Sequence[int]) -> Value
     return sum(sorted(keys)[:l])
 
 
-def _upper_bound(asc: list[Value], rest: Value, l: int, d: int) -> Value:
-    # Pouring the unassigned total fractionally onto the smallest parts
-    # (`asc`: part sums, ascending) maximizes the sum of the l smallest; no
-    # integral completion beats it. The water covers the k smallest parts.
+def _upper_bound(
+    asc: list[Value], rest: Value, l: int, d: int, r: int, small: Value
+) -> Value:
+    # The module docstring's bound for r items of at least `small` that sum
+    # to `rest` (`asc`: part sums, ascending; reordered in place).
+    if rest < (r + d) * small:
+        for _ in range(r):
+            heapreplace(asc, asc[0] + small)
+        asc.sort()
+        rest -= r * small
+    # The water covers the k smallest parts.
     water = rest
     for k in range(1, d):
         water += asc[k - 1]
@@ -135,12 +150,13 @@ def _search(
     root = l * total * top // sum(top // c for c in scale)
     best = _greedy_start(items, l, scale) - 1
     best_assign = None
-    # To beat best, each part that counts needs a part sum of floors[j] or
-    # more: its key must reach h = ceil((best + 1) / l) = (best + l) // l.
-    floors = [-(-((best + l) // l) // c) for c in scale]
+    # At l = 1, beating best needs every key above best, so every part needs
+    # a part sum of floors[j] = ceil((best + 1) / scale[j]) or more.
+    floors = [-(-(best + 1) // c) for c in scale]
     sums = [0] * d
     assign = [0] * m
     last = m - 1
+    small = items[last]
 
     def dfs(i: int) -> bool:
         # Returns True once the incumbent meets the root bound.
@@ -156,22 +172,17 @@ def _search(
                 ceiling = asc[l] if l < d else asc[-1] + v
                 if sum(asc[:l]) + min(v, ceiling - asc[0]) <= best:
                     return False
-            elif _upper_bound(asc, total - prefix[i], l, d) <= best:
+            elif _upper_bound(asc, total - prefix[i], l, d, m - i, small) <= best:
                 return False
-            # The d-l+1 largest parts share the floor h.
-            low, floor = asc[l - 1:], floors[0]
         else:
-            # Every part counts, each against its own floor.
-            low, floor = map(sub, sums, floors), 0
-        base = prefix[i]
-        need = count = 0
-        for s in low:
-            if s < floor:
-                short = floor - s
-                need += short
-                count += bisect_left(prefix, base + short, i) - i
-        if need > total - base or count > m - i:
-            return False
+            base = prefix[i]
+            need = count = 0
+            for short in map(sub, floors, sums):
+                if short > 0:
+                    need += short
+                    count += bisect_left(prefix, base + short, i) - i
+            if need > total - base or count > m - i:
+                return False
         first = assign[i - 1] if i and v == items[i - 1] else 0
         if i == last:
             # Adding g to a key s below the ceiling (the l+1-th smallest key;
@@ -191,9 +202,8 @@ def _search(
                     best = value
                     assign[i] = k
                     best_assign = tuple(assign)
-                    h = (best + l) // l
                     for j, c in enumerate(scale):
-                        floors[j] = -(-h // c)
+                        floors[j] = -(-(best + 1) // c)
             return best == root
         for k in range(first, d):
             s = sums[k]

@@ -13,6 +13,7 @@ from mmsfair.core import (
     PartitionAssignment,
     canonicalize,
 )
+from mmsfair.dominance import dominates
 from mmsfair.engine import (
     SearchLimits,
     brute_force_mms,
@@ -267,23 +268,24 @@ def test_huge_values_stay_exact(values, pair):
     assert mms(instance, pair).value == brute_force_mms(instance, pair)
 
 
-def best_smallest_part(values, d):
-    """[f_1(X), ..., f_d(X)] for the whole item set X, where f_k(S) is the
-    best smallest part sum over splits of the items in bitmask S into k
-    possibly-empty parts: f_1(S) = sum S and f_k(S) = max over T in S of
-    min(f_{k-1}(S - T), sum T). T runs over the subsets that hold the lowest
+def smallest_part_tables(values, d, whole_last=False):
+    """[f_1, ..., f_d] as tables over item bitmasks, where f_k[S] is the
+    best smallest part sum over splits of the items in S into k
+    possibly-empty parts: f_1[S] = sum S and f_k[S] = max over T in S of
+    min(f_{k-1}[S - T], sum T). T runs over the subsets that hold the lowest
     item of S (the part that item lands in), which meets every split once.
-    No item order, no pruning, no bound."""
+    No item order, no pruning, no bound. With `whole_last`, f_d is filled in
+    for the whole item set only."""
     m = len(values)
     full = (1 << m) - 1
     sums = [0] * (full + 1)
     for mask in range(1, full + 1):
         low = mask & -mask
         sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
-    best, out = sums, [sums[full]]
+    tables = [sums]
     for k in range(2, d + 1):
-        step = [0] * (full + 1)
-        for mask in range(1, full + 1) if k < d else [full]:
+        best, step = tables[-1], [0] * (full + 1)
+        for mask in range(1, full + 1) if k < d or not whole_last else [full]:
             low = mask & -mask
             others = mask ^ low
             top, sub = None, others
@@ -297,9 +299,14 @@ def best_smallest_part(values, d):
                     break
                 sub = (sub - 1) & others
             step[mask] = top
-        best = step
-        out.append(best[full])
-    return out
+        tables.append(step)
+    return tables
+
+
+def best_smallest_part(values, d):
+    """[f_1(X), ..., f_d(X)] for the whole item set X."""
+    full = (1 << len(values)) - 1
+    return [f[full] for f in smallest_part_tables(values, d, whole_last=True)]
 
 
 def all_but_largest_part(values, d):
@@ -308,6 +315,28 @@ def all_but_largest_part(values, d):
     value turns the smallest part into minus the largest, so the same DP at
     -values gives minus the makespan."""
     return [sum(values) + v for v in best_smallest_part([-v for v in values], d)]
+
+
+def middle_shares(values, pairs):
+    """{pair: share} for 1 <= l <= d-1, by a route unlike the search: the
+    share is the largest sum(U) over item subsets U whose least makespan
+    into l parts is at most the best smallest part of the other items into
+    d-l parts. The l smallest parts of an optimal partition form such a U;
+    conversely, U's l parts and the others' d-l parts make a partition whose
+    l smallest parts are U's. Per-mask tables of the DP above give both
+    sides; the makespan is the DP at negated values, as in
+    `all_but_largest_part`."""
+    smallest = smallest_part_tables(values, max(p.d - p.l for p in pairs))
+    neg_makespan = smallest_part_tables([-v for v in values], max(p.l for p in pairs))
+    sums, full = smallest[0], len(smallest[0]) - 1
+    return {
+        p: max(
+            sums[u]
+            for u in range(full + 1)
+            if -neg_makespan[p.l - 1][u] <= smallest[p.d - p.l - 1][full ^ u]
+        )
+        for p in pairs
+    }
 
 
 def _values(kind, m, seed):
@@ -373,6 +402,47 @@ def test_subset_dps_match_brute_force():
         assert all_but_largest_part(values, 5) == [t[d - 1] for d, t in enumerate(tables, 1)]
 
 
+def test_middle_share_dp_matches_brute_force():
+    # The middle-l oracle against the d**m oracle, where it reaches.
+    rng = random.Random("middle-brute")
+    for seed in range(40):
+        m, d = rng.randint(0, 6), rng.randint(2, 5)
+        values = _values(("ties-zeros", "1-1000", "near-equal")[seed % 3], m, seed)
+        table = brute_force_mms_table(Instance(tuple(values)), d)
+        pairs = [MmsPair(l, d) for l in range(1, d)]
+        assert middle_shares(values, pairs) == {p: table[p.l] for p in pairs}
+
+
+@pytest.mark.parametrize("scale", [10**6, 10**30])
+@pytest.mark.parametrize(
+    "m, pairs",
+    [
+        (12, [MmsPair(2, 5), MmsPair(3, 5), MmsPair(3, 7)]),
+        (13, [MmsPair(2, 4), MmsPair(3, 6), MmsPair(4, 8)]),
+    ],
+)
+def test_search_matches_middle_dp_on_hard_benchmark_shapes(m, pairs, scale):
+    # The slowest search-worst shapes, all at 2 <= l <= d-2, where the
+    # search cuts with whole units and neither l = 1 nor l = d-1 DP reaches.
+    rng = random.Random(f"hard:{m}")
+    values = [scale + rng.randrange(51) for _ in range(m)]
+    for pair, expected in middle_shares(values, pairs).items():
+        result = mms(Instance(tuple(values)), pair, SearchLimits(max_parts=pair.d))
+        assert result.value == expected, pair
+        _check_witness(values, pair, result)
+
+
+@pytest.mark.parametrize("kind, seed", [("1-1000", 8), ("ties-zeros", 9)])
+def test_search_matches_middle_dp_past_oracle_reach(kind, seed):
+    # 12 items, every 2 <= l <= d-2 for d = 4..7.
+    values = _values(kind, 12, seed)
+    pairs = [MmsPair(l, d) for d in range(4, 8) for l in range(2, d - 1)]
+    for pair, expected in middle_shares(values, pairs).items():
+        result = mms(Instance(tuple(values)), pair)
+        assert result.value == expected, pair
+        _check_witness(values, pair, result)
+
+
 def test_search_strength_is_pinned(dfs_calls):
     # 16 near-equal items at 1/3 take 534 nodes with the item-count check;
     # water-filling alone, or counting each part one item short, takes
@@ -381,12 +451,16 @@ def test_search_strength_is_pinned(dfs_calls):
     assert dfs_calls(mms, 2000, Instance(values), MmsPair(1, 3)) <= 2000
 
 
-@pytest.mark.parametrize("pair, nodes", [(MmsPair(3, 4), 3839), (MmsPair(4, 5), 13675)])
-def test_search_strength_is_pinned_above_l_one(dfs_calls, pair, nodes):
-    # 12 near-equal items at l >= 2, where the search runs the water-filling
-    # bound (at l = d-1 the item-count check hardly fires here). Without the
-    # bound the search passes the pin, about four times today's count.
-    values = tuple(10**6 + (37 * k) % 51 for k in range(12))
+@pytest.mark.parametrize(
+    "m, pair, nodes",
+    [(12, MmsPair(3, 4), 315), (12, MmsPair(4, 5), 1580), (14, MmsPair(2, 5), 20490)],
+)
+def test_search_strength_is_pinned_above_l_one(dfs_calls, m, pair, nodes):
+    # Near-equal items at l >= 2, where the search places the remaining
+    # items as whole units in its bound. With the fractional bound alone they
+    # take 3,839, 13,675 and 1,351,184 nodes and pass the pin, about four
+    # times today's count.
+    values = tuple(10**6 + (37 * k) % 51 for k in range(m))
     bound = 4 * nodes
     assert dfs_calls(mms, bound, Instance(values), pair) <= bound
 
@@ -406,3 +480,30 @@ def test_metamorphic_properties_at_sixteen_items(kind):
         assert mms(padded, pair, SearchLimits(max_items=18)).value == share
         shares.append(share)
     assert shares == sorted(shares, reverse=True)
+
+
+@pytest.mark.parametrize("kind, m", [("1-1000", 16), ("near-equal", 14)])
+def test_metamorphic_properties_above_l_one(kind, m):
+    # Past every oracle, l >= 2. At l = d-1 the share scales with the
+    # values, ignores zero-valued items and does not fall with d; at d = 5
+    # and 7 it does not fall as l rises; and wherever (l, d) dominates
+    # (l', d'), the l-out-of-d share is at least the l'-out-of-d' one.
+    values = _values(kind, m, 0)
+    instance = Instance(tuple(values))
+    shares = {}
+    for d in range(2, 11):
+        pair = MmsPair(d - 1, d)
+        shares[pair] = share = mms(instance, pair).value
+        scaled = Instance(tuple(7 * v for v in values))
+        assert mms(scaled, pair).value == 7 * share
+        padded = Instance((0, *values, 0))
+        assert mms(padded, pair, SearchLimits(max_items=m + 2)).value == share
+    top = [shares[MmsPair(d - 1, d)] for d in range(2, 11)]
+    assert top == sorted(top)
+    for d in (5, 7):
+        row = [mms(instance, MmsPair(l, d)).value for l in range(1, d + 1)]
+        assert row == sorted(row)
+        shares.update((MmsPair(l, d), v) for l, v in enumerate(row, 1))
+    for p, q in itertools.product(shares, repeat=2):
+        if dominates(p, q):
+            assert shares[p] >= shares[q], (p, q)
