@@ -113,13 +113,7 @@ def weighted_maximin_partition(
     weights = [t.numerator * (den // t.denominator) for t in entitlements]
     top = lcm(*weights)
     scale = [top // w for w in weights]
-    # Inside a group of equal entitlements (equal c_j) the used parts always
-    # form a prefix, so part j may open only once its previous twin is in use.
-    twin_before, previous = [], {}
-    for j, c in enumerate(scale):
-        twin_before.append(previous.get(c, -1))
-        previous[c] = j
-    best_key, witness = _search(instance.items, 1, scale, twin_before)
+    best_key, witness = _search(instance.items, 1, scale)
     return Fraction(best_key * den, top), witness
 
 

@@ -3,10 +3,11 @@
 The share value is the maximum, over all partitions of the items into d
 possibly-empty parts, of the sum of the l smallest part sums. `mms` and
 the WMMS search of `criteria` run one search, `_search`: it maximizes the
-sum of the l smallest keys s_j*scale[j] (s_j: part sums), and part j opens
-only once part twin_before[j] is in use. `mms` has unit scale and each
-part the twin of the one before; WMMS has l = 1, scale c_j and twins of
-equal entitlement; l > 1 comes with unit scale only. The search walks the
+sum of the l smallest keys s_j*scale[j] (s_j: part sums). `mms` has unit
+scale; WMMS has l = 1 and scale c_j; l > 1 comes with unit scale only.
+Parts of one scale are interchangeable, so part j opens only once its twin,
+the previous part of the same scale, is in use: the part before at unit
+scale, the previous agent of equal entitlement in WMMS. The search walks the
 assignments depth first in lex order and keeps strict improvements only,
 so its witness is the lex-first optimum, which no rule cuts. It starts one
 below the greedy partition (each item, largest first, to the part with the
@@ -28,9 +29,10 @@ each part needs its own items up to its floor ceil((best + 1) / scale[j]):
 the shortfalls must fit in the remaining value, and the fewest of the
 largest remaining items that cover each must fit in the remaining count
 (this cuts all that water-filling would). The last item is placed in closed
-form. The witness is re-checked on every call. `brute_force_mms` is the
-deliberately dumb reference oracle used by the tests; `mms_cardinality` is
-the closed form for identical unit items.
+form, after one cut for every l: no key rises by more than v*lcm(scale) or
+past the l+1-th smallest. The witness is re-checked on every call.
+`brute_force_mms` is the deliberately dumb reference oracle used by the
+tests; `mms_cardinality` is the closed form for identical unit items.
 """
 from __future__ import annotations
 
@@ -129,7 +131,7 @@ def _upper_bound(
 
 
 def _search(
-    items: Sequence[Value], l: int, scale: Sequence[int], twin_before: Sequence[int]
+    items: Sequence[Value], l: int, scale: Sequence[int]
 ) -> tuple[Value, PartitionAssignment]:
     # The search of the module docstring: the best sum of the l smallest keys
     # and the lex-first assignment over the canonical (non-increasing) item
@@ -153,6 +155,11 @@ def _search(
     # At l = 1, beating best needs every key above best, so every part needs
     # a part sum of floors[j] = ceil((best + 1) / scale[j]) or more.
     floors = [-(-(best + 1) // c) for c in scale]
+    # twin_before[j]: the previous part with the same scale (-1 if none).
+    twin_before, previous = [], {}
+    for j, c in enumerate(scale):
+        twin_before.append(previous.get(c, -1))
+        previous[c] = j
     sums = [0] * d
     assign = [0] * m
     last = m - 1
@@ -164,15 +171,9 @@ def _search(
         v = items[i]
         if l > 1:
             # The scale is 1 here, so the part sums are the keys.
-            keys = sums
-            asc = sorted(keys)
-            if i == last:
-                # The last item raises the l smallest by at most v, and by
-                # no more than the l+1-th smallest lies above the smallest.
-                ceiling = asc[l] if l < d else asc[-1] + v
-                if sum(asc[:l]) + min(v, ceiling - asc[0]) <= best:
-                    return False
-            elif _upper_bound(asc, total - prefix[i], l, d, m - i, small) <= best:
+            if i < last and _upper_bound(
+                sorted(sums), total - prefix[i], l, d, m - i, small
+            ) <= best:
                 return False
         else:
             base = prefix[i]
@@ -187,11 +188,13 @@ def _search(
         if i == last:
             # Adding g to a key s below the ceiling (the l+1-th smallest key;
             # none when l == d) raises the l smallest by min(g, ceiling - s).
-            if l == 1:
-                keys = list(map(mul, sums, scale))
-                asc = sorted(keys)
+            keys = sums if top == 1 else list(map(mul, sums, scale))
+            asc = sorted(keys)
             base = sum(asc[:l])
             ceiling = asc[l] if l < d else asc[-1] + v * top
+            # No key rises by more than v*top, nor past the ceiling.
+            if base + min(v * top, ceiling - asc[0]) <= best:
+                return False
             for k in range(first, d):
                 s = keys[k]
                 if not s and twin_before[k] >= 0 and not keys[twin_before[k]]:
@@ -242,7 +245,7 @@ def mms(
     if l == 0:  # the empty union: no search, so nothing to refuse
         return MmsResult(0, PartitionAssignment((0,) * m, d))
     limits.check(m, d)
-    return MmsResult(*_search(instance.items, l, (1,) * d, range(-1, d - 1)))
+    return MmsResult(*_search(instance.items, l, (1,) * d))
 
 
 def brute_force_mms_table(instance: Instance, d: int) -> tuple[Value, ...]:

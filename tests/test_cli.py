@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from mmsfair.cli import RunRecord, execute, main, replay
+from mmsfair.cli import RunRecord, _render_scan, execute, main, replay
 
 
 def run(capsys, *argv):
@@ -213,6 +213,17 @@ def test_scan_empty_bounds(capsys):
     code, out, _ = run(capsys, "scan", "--values", "", "--entitlements", "")
     assert code == 0
     assert "rows: 0" in out
+
+
+def test_scan_renders_counterexample_count():
+    summary = {
+        "rows": 5,
+        "rows_wmms_strictly_stronger": 1,
+        "rows_omms_strictly_stronger": 0,
+        "bmms_conjecture_counterexamples": 2,
+    }
+    text = _render_scan({"summary": summary}, None)
+    assert text.splitlines()[-1] == "BMMS-implies-WMMS/OMMS: COUNTEREXAMPLE FOUND in 2 row(s)"
 
 
 def test_every_command_json_is_byte_identical(capsys):

@@ -120,6 +120,14 @@ def test_partition_assignment_validation():
         pa.part_sums((1, 2))
 
 
+def test_partition_assignment_parts_rejects_wrong_item_count():
+    pa = PartitionAssignment((0, 1, 1), d=2)
+    with pytest.raises(ValueError, match="does not match item count"):
+        pa.parts((9, 6))
+    with pytest.raises(ValueError, match="does not match item count"):
+        pa.parts((9, 6, 5, 3))
+
+
 def test_entitlement_vector_validation():
     t = EntitlementVector.parse("0.4,0.6")
     assert t.entitlements == (Fraction(2, 5), Fraction(3, 5))

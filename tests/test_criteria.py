@@ -77,6 +77,13 @@ def test_wmms_rejects_bad_agent_index():
         wmms_value(TWO_ITEMS, t, 2)
 
 
+def test_weighted_partition_rejects_no_agents_and_zero_entitlements():
+    with pytest.raises(ValueError, match="at least one agent"):
+        weighted_maximin_partition(TWO_ITEMS, [])
+    with pytest.raises(ValueError, match="must be positive"):
+        weighted_maximin_partition(TWO_ITEMS, [Fraction(1), Fraction(0)])
+
+
 def test_wmms_size_bound():
     t = EntitlementVector((Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(InstanceTooLargeError):

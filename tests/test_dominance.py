@@ -154,6 +154,11 @@ def test_bundle_size_reduction_applies_examples():
     assert not bundle_size_reduction_applies(MmsPair(2, 5), MmsPair(1, 4), m=3)
 
 
+def test_bundle_size_reduction_rejects_negative_item_count():
+    with pytest.raises(ValueError, match="non-negative"):
+        bundle_size_reduction_applies(MmsPair(1, 3), MmsPair(2, 4), m=-1)
+
+
 def test_bundle_size_reduction_backed_by_oracle():
     skew = Instance((3, 2, 1))
     assert bundle_size_reduction_applies(MmsPair(1, 3), MmsPair(3, 5), m=3)

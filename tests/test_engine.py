@@ -150,6 +150,11 @@ def test_brute_force_rejects_above_oracle_scale():
         brute_force_mms_table(INTRO, 7)
 
 
+def test_brute_force_table_rejects_no_parts():
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        brute_force_mms_table(INTRO, 0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(instances, pairs_d4)
 def test_search_matches_brute_force(instance, pair):
@@ -215,6 +220,11 @@ def test_mms_cardinality_known_values():
     assert mms_cardinality(5, MmsPair(1, 3)) == 1
     assert mms_cardinality(0, MmsPair(1, 3)) == 0
     assert mms_cardinality(4, MmsPair(0, 3)) == 0
+
+
+def test_mms_cardinality_rejects_negative_item_count():
+    with pytest.raises(ValueError, match="non-negative"):
+        mms_cardinality(-1, MmsPair(1, 3))
 
 
 def test_mms_cardinality_matches_oracle_at_small_scale():
