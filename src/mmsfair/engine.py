@@ -220,7 +220,12 @@ def _search(
             sums[k] = s
         return False
 
-    dfs(0)
+    try:
+        dfs(0)
+    except RecursionError:  # dfs recurses once per nonzero item
+        raise InstanceTooLargeError(
+            f"instance too large for exact search: {m} items exceed its recursion depth"
+        ) from None
     # Raised explicitly, not asserted, so that `python -O` keeps the check.
     # The optimum beats the greedy start, so no witness at all is a fault.
     witness = None if best_assign is None else PartitionAssignment(best_assign + zeros, d)
@@ -288,8 +293,6 @@ def mms_cardinality(m: int, pair: MmsPair) -> int:
     """
     if m < 0:
         raise ValueError(f"item count must be non-negative, got {m}")
-    if m == 0 or pair.l == 0:
-        return 0
     q = -(-m // pair.d)
     r = q * pair.d - m
     return q * pair.l - min(pair.l, r)

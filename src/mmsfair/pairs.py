@@ -9,7 +9,8 @@ covered by the bundle-size reduction, dominated pairs by the survivors.
 The filter checks each candidate, in ascending d, against the survivors
 so far only: O(m*|S|) dominance tests for |S| survivors. Dominance is
 transitive, so whatever a dropped candidate dominates, the survivor that
-dropped it dominates too.
+dropped it dominates too. A new survivor removes at most the last kept
+pair, so removal is one test per survivor.
 """
 from __future__ import annotations
 
@@ -25,8 +26,6 @@ class PairSet:
     """Surviving conditions, sorted by d ascending."""
 
     pairs: tuple[MmsPair, ...]
-    entitlement: Fraction
-    item_count: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,16 +49,18 @@ def candidate_pairs(a: Fraction, m: int) -> list[MmsPair]:
 
 
 def _survivors(cands: list[MmsPair]) -> list[MmsPair]:
-    # A candidate is dropped when another candidate dominates it strictly,
-    # or mutually with a smaller d (mutual dominance means the share values
-    # coincide on every instance, so the smallest d is kept as the
-    # representative). In ascending d every kept s has the smaller d, so
-    # s drops p exactly when s dominates p, and p, not dropped, drops s
-    # exactly when p dominates s.
+    # A candidate is dropped when another one dominates it, strictly or with
+    # a smaller d (mutual dominance means equal shares everywhere). A new
+    # survivor p removes a kept s (q = 1, r = p.d - s.d) exactly when s.l = 0
+    # or s.d - s.l >= p.d - p.l. As l = floor(a*d), d - l never falls as d
+    # grows, so the latter means equal d - l. By induction d - l strictly
+    # rises along the kept list, and (0, 1) is kept only alone, so p removes
+    # at most the last kept pair.
     kept: list[MmsPair] = []
     for p in cands:
         if not any(dominates(s, p) for s in kept):
-            kept = [s for s in kept if not dominates(p, s)]
+            if kept and dominates(p, kept[-1]):
+                kept.pop()
             kept.append(p)
     return kept
 
@@ -67,7 +68,7 @@ def _survivors(cands: list[MmsPair]) -> list[MmsPair]:
 def non_dominated_pairs(a: Fraction, m: int) -> PairSet:
     """Candidates minus everything dominated by another candidate."""
     cands = candidate_pairs(a, m)
-    return PairSet(tuple(_survivors(cands)), Fraction(a), m)
+    return PairSet(tuple(_survivors(cands)))
 
 
 def _attribute(removed: MmsPair, survivors: list[MmsPair]) -> MmsPair:

@@ -57,6 +57,17 @@ def test_mms_size_refusal_exit_3(capsys):
     assert code == 0
 
 
+def test_mms_recursion_depth_refusal_exit_3(capsys):
+    # Raised bounds let the search reach Python's recursion limit: a refusal
+    # (exit 3), not a traceback and exit 1.
+    items = ",".join(["1"] * 3000)
+    code, _, err = run(
+        capsys, "mms", "--items", items, "--pair", "1/2", "--max-items", "5000"
+    )
+    assert code == 3
+    assert err.startswith("refused:")
+
+
 def test_mms_zero_l_is_not_refused(capsys):
     # l = 0 needs no search, so the size bound does not apply.
     code, out, _ = run(capsys, "mms", "--items", "1,2,3", "--pair", "0/3", "--max-parts", "2")

@@ -563,3 +563,11 @@ def test_agent_shares_first_refusal_is_unchanged():
     t = EntitlementVector((Fraction(1, 3), Fraction(2, 5), Fraction(4, 15)))
     with pytest.raises(InstanceTooLargeError, match="into 5 parts"):
         agent_shares(instance, t, SearchLimits(max_items=16, max_parts=3))
+
+
+def test_weighted_partition_refuses_past_recursion_depth():
+    halves = [Fraction(1, 2), Fraction(1, 2)]
+    with pytest.raises(InstanceTooLargeError, match="3000 items exceed"):
+        weighted_maximin_partition(
+            Instance((1,) * 3000), halves, SearchLimits(max_items=5000)
+        )

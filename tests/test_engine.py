@@ -517,3 +517,10 @@ def test_metamorphic_properties_above_l_one(kind, m):
     for p, q in itertools.product(shares, repeat=2):
         if dominates(p, q):
             assert shares[p] >= shares[q], (p, q)
+
+
+def test_mms_refuses_past_recursion_depth():
+    # The search recurses once per nonzero item; raised bounds reach Python's
+    # recursion limit, which must end in a refusal, not a RecursionError.
+    with pytest.raises(InstanceTooLargeError, match="3000 items exceed"):
+        mms(Instance((1,) * 3000), MmsPair(1, 2), SearchLimits(max_items=5000))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmsfair import pairs
 from mmsfair.core import Instance, MmsPair, rational_floor_mul
 from mmsfair.dominance import corollary_case, decompose, dominates
 from mmsfair.engine import mms
@@ -196,3 +197,27 @@ def test_attribute_raises_when_no_survivor_dominates():
     # An explicit raise, so it also holds under python -O.
     with pytest.raises(AssertionError, match="no survivor dominates"):
         _attribute(MmsPair(3, 4), [MmsPair(1, 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 200).flatmap(lambda q: st.tuples(st.integers(1, q), st.just(q))),
+       st.integers(1, 300))
+def test_survivors_strictly_increase_in_d_minus_l(pq, m):
+    # The invariant that lets a new survivor remove only the last kept pair.
+    gaps = [p.d - p.l for p in non_dominated_pairs(Fraction(*pq), m).pairs]
+    assert all(x < y for x, y in zip(gaps, gaps[1:]))
+
+
+def test_filtration_dominance_call_count(monkeypatch):
+    # One drop test per kept pair and candidate, plus one removal test per
+    # survivor; re-filtering the whole kept list makes 483,890 calls here.
+    calls = 0
+
+    def counting(p, p_prime):
+        nonlocal calls
+        calls += 1
+        return dominates(p, p_prime)
+
+    monkeypatch.setattr(pairs, "dominates", counting)
+    assert len(non_dominated_pairs(Fraction(137, 262), 2000).pairs) == 575
+    assert calls <= 311_339
