@@ -12,9 +12,14 @@ assignments depth first in lex order and keeps strict improvements only,
 so its witness is the lex-first optimum, which no rule cuts. It starts one
 below the greedy partition (each item, largest first, to the part with the
 least key) and stops at the root bound l*T*C // sum(C // scale[j]),
-C = lcm(scale). Zeros go to part 0 outside the search. An item equal to
-its predecessor never goes to an earlier part (swapping equal items keeps
-the part sums and lowers the vector). At l > 1 an upper bound cuts subtrees
+C = lcm(scale). At unit scale the root is the least count cap over
+j = l..d: the j parts with the fewest items hold at most C_j = q*j -
+min(j, q*d - m) of the m items (q = ceil(m/d)), so the l smallest part
+sums are at most the l-out-of-j share of the C_j largest items, at most
+l/j of their sum and, when C_j <= j (one item per part), the sum of items
+j-l .. C_j-1. Zeros go to part 0 outside the search. An item equal to its
+predecessor never goes to an earlier part (swapping equal items keeps the
+part sums and lowers the vector). At l > 1 an upper bound cuts subtrees
 that cannot beat the incumbent. With b the smallest item and r items left,
 every completion ends at part sums s_j + n_j*b + x_j, integers n_j >= 0
 summing to r and x_j >= 0 summing to E = rest - r*b. The bound puts each of
@@ -105,6 +110,20 @@ def _greedy_start(items: Sequence[Value], l: int, scale: Sequence[int]) -> Value
     return sum(sorted(keys)[:l])
 
 
+def _count_cap(prefix: list[Value], l: int, d: int) -> Value:
+    # The module docstring's least count cap over j = l..d, without min()
+    # (it doubles the cost on tiny searches); j = d is l*T//d.
+    m = len(prefix) - 1
+    q = -(-m // d)
+    r = q * d - m
+    cap = l * prefix[m] // d
+    for j in range(l, d):
+        c = q * j - (j if j < r else r)  # mms_cardinality(m, j/d)
+        x = prefix[c] - prefix[j - l if j - l < c else c] if c <= j else l * prefix[c] // j
+        cap = x if x < cap else cap
+    return cap
+
+
 def _upper_bound(
     asc: list[Value], rest: Value, l: int, d: int, r: int, small: Value
 ) -> Value:
@@ -149,7 +168,8 @@ def _search(
     prefix = [0, *itertools.accumulate(items)]
     total = prefix[m]
     top = lcm(*scale)
-    root = l * total * top // sum(top // c for c in scale)
+    root = (_count_cap(prefix, l, d) if top == 1
+            else l * total * top // sum(top // c for c in scale))
     best = _greedy_start(items, l, scale) - 1
     best_assign = None
     # At l = 1, beating best needs every key above best, so every part needs

@@ -475,6 +475,60 @@ def test_search_strength_is_pinned_above_l_one(dfs_calls, m, pair, nodes):
     assert dfs_calls(mms, bound, Instance(values), pair) <= bound
 
 
+def _seeded_spread(seed, m=16):
+    rng = random.Random(seed)
+    return tuple(10**6 + rng.randrange(51) for _ in range(m))
+
+
+@pytest.mark.parametrize(
+    "values, pair, nodes",
+    [
+        (tuple(10**6 + (37 * k) % 51 for k in range(16)), MmsPair(4, 5), 61),
+        (_seeded_spread(50_000), MmsPair(4, 5), 47),
+        (_seeded_spread(50_001), MmsPair(2, 6), 33_845),
+    ],
+)
+def test_search_strength_is_pinned_by_count_caps(dfs_calls, values, pair, nodes):
+    # 16 near-equal items where few items fit in the smallest parts, so the
+    # count cap lowers the root bound to the optimum and the search stops at
+    # the lex-first witness. With the root bound l*T//d alone they take
+    # 737,464, 854,154 and 1,158,563 nodes.
+    bound = 4 * nodes
+    assert dfs_calls(mms, bound, Instance(values), pair) <= bound
+
+
+def _prefix(values):
+    return [0, *itertools.accumulate(sorted((v for v in values if v), reverse=True))]
+
+
+def _cap_case(d):
+    m = 8 if d <= 4 else 12 - d  # keeps the d**m oracle under a second
+    small = st.lists(st.integers(0, 12), max_size=m)
+    near_equal = st.lists(st.integers(0, 50).map(lambda k: 10**6 + k), max_size=m)
+    return st.tuples(st.just(d), st.one_of(small, near_equal))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(_cap_case))
+def test_count_cap_is_sound(case):
+    # The cap lies between the share and the plain root bound l*T//d.
+    d, values = case
+    prefix = _prefix(values)
+    table = brute_force_mms_table(Instance(tuple(v for v in values if v)), d)
+    for l in range(1, d + 1):
+        assert table[l] <= engine._count_cap(prefix, l, d) <= l * prefix[-1] // d
+
+
+def test_count_cap_is_exact_below_the_root_bound():
+    # 6 items into 5 parts: the 4 parts with the fewest items hold at most 4,
+    # one each, so the 3 smallest of them hold at most 8 + 7 + 6 = 21 < 39*3//5.
+    values = (9, 8, 7, 6, 5, 4)
+    cap = engine._count_cap(_prefix(values), 3, 5)
+    assert cap == 21 < 3 * sum(values) // 5
+    assert brute_force_mms(Instance(values), MmsPair(3, 5)) == cap
+    assert mms(Instance(values), MmsPair(3, 5)).value == cap
+
+
 @pytest.mark.parametrize("kind", ["near-equal", "1-1000"])
 def test_metamorphic_properties_at_sixteen_items(kind):
     # Past every oracle, l = 1: the share scales with the values, ignores
