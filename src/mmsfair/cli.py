@@ -174,17 +174,13 @@ def _exec_scan(inputs: dict) -> tuple[int, dict]:
         EntitlementVector(tuple(parse_rational(s) for s in vector))
         for vector in inputs.get("entitlement_grid", [])
     ]
-    limits = SearchLimits(
-        max_items=max(DEFAULT_LIMITS.max_items, int(inputs.get("max_items", 0))),
-        max_parts=int(inputs.get("max_parts", DEFAULT_LIMITS.max_parts)),
-    )
     report = notion_separation_scan(
         int(inputs.get("max_items", 0)),
         value_grid,
         entitlement_grid,
         max_instances=inputs.get("max_instances"),
         seed=int(inputs.get("seed", 0)),
-        limits=limits,
+        limits=_limits(inputs),
     )
     return EXIT_OK, report_jsonable(report)
 
@@ -260,11 +256,13 @@ def _render_scan(outputs: dict, args: argparse.Namespace) -> str:
 
 
 def _load_items(args: argparse.Namespace) -> list[int]:
-    if getattr(args, "items_file", None):
+    if args.items_file:
         text = Path(args.items_file).read_text().strip()
         if text.startswith("["):
-            values = json.loads(text)
-            return list(Instance(tuple(values)).items)
+            try:
+                return list(Instance(tuple(json.loads(text))).items)
+            except RecursionError:
+                raise ValueError(f"items file nested too deeply: {args.items_file}") from None
         return list(parse_items(text).items)
     return list(parse_items(args.items if args.items is not None else "").items)
 
@@ -460,36 +458,26 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         inputs = build(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    started = time.perf_counter()
-    try:
+        started = time.perf_counter()
         code, outputs = execute(args.command, inputs)
-    except InstanceTooLargeError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    wall = time.perf_counter() - started
-
-    # The record holds the RunRecord fields: the envelope plus wall time.
-    envelope = {
-        "command": args.command,
-        "engine_version": __version__,
-        "inputs": inputs,
-        "outputs": outputs,
-    }
-    try:
+        wall = time.perf_counter() - started
+        # The record holds the RunRecord fields: the envelope plus wall time.
+        envelope = {
+            "command": args.command,
+            "engine_version": __version__,
+            "inputs": inputs,
+            "outputs": outputs,
+        }
         if args.record:
             record = dict(envelope, wall_time_s=wall)
             Path(args.record).write_text(json.dumps(record, sort_keys=True, indent=2))
         if getattr(args, "out", None):
             with open(args.out, "w", newline="") as handle:
                 write_csv_rows(outputs["rows"], handle)
-    except OSError as exc:
+    except InstanceTooLargeError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -215,10 +215,9 @@ def _search(
             # No key rises by more than v*top, nor past the ceiling.
             if base + min(v * top, ceiling - asc[0]) <= best:
                 return False
+            # No twin check: an empty twin scores the same, lex-earlier, and only gains count.
             for k in range(first, d):
                 s = keys[k]
-                if not s and twin_before[k] >= 0 and not keys[twin_before[k]]:
-                    continue
                 gain = min(v * scale[k], ceiling - s)
                 value = base + gain if gain > 0 else base
                 if value > best:

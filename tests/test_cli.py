@@ -87,6 +87,32 @@ def test_mms_items_file(tmp_path, capsys):
     assert code == 0 and "value: 12" in out
 
 
+def test_missing_items_file_is_a_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run(capsys, "mms", "--items-file", missing, "--pair", "1/2")
+    assert code == 2
+    assert err.startswith("error: ") and "missing.txt" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["mms", "--pair", "1/2"],
+        ["audit", "--entitlements", "1/2,1/2", "--allocation", ";"],
+    ],
+)
+def test_deeply_nested_items_file_is_a_usage_error(command, tmp_path, capsys):
+    # json.loads raises RecursionError on deep nesting: a parse error (exit 2),
+    # not a traceback and exit 1, the false-verdict code.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run(capsys, *command, "--items-file", str(deep))
+    assert code == 2
+    assert err == f"error: items file nested too deeply: {deep}\n"
+    assert out == ""
+
+
 def test_dominates_exit_codes(capsys):
     code, out, _ = run(capsys, "dominates", "2", "3", "4", "7")
     assert code == 0
@@ -224,6 +250,27 @@ def test_scan_empty_bounds(capsys):
     code, out, _ = run(capsys, "scan", "--values", "", "--entitlements", "")
     assert code == 0
     assert "rows: 0" in out
+
+
+def test_scan_refusal_echoes_its_own_limits(capsys):
+    # The item bound of a scan is its multiset size, so only the part bound
+    # refuses, and the message shows the bounds the scan ran with.
+    code, out, err = run(
+        capsys,
+        "scan",
+        "--max-items",
+        "3",
+        "--values",
+        "7",
+        "--entitlements",
+        "2/5,3/5",
+        "--max-parts",
+        "1",
+    )
+    assert code == 3
+    assert err.startswith("refused: ")
+    assert "(limits: 3 items, 1 parts)" in err
+    assert out == ""
 
 
 def test_scan_renders_counterexample_count():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mmsfair import criteria
+from mmsfair import criteria, scan
 from mmsfair.core import EntitlementVector
 from mmsfair.scan import (
     CSV_COLUMNS,
@@ -71,6 +71,16 @@ def test_scan_empty_bounds_yield_empty_report():
     assert notion_separation_scan(0, [1, 2], [T_40_60]).rows == ()
     assert notion_separation_scan(2, [], [T_40_60]).rows == ()
     assert notion_separation_scan(2, [1, 2], []).rows == ()
+
+
+def test_scan_of_an_empty_grid_enumerates_nothing(monkeypatch):
+    # Sizes 1..max_items come from outside (`scan --max-items`); with no
+    # values there is nothing to enumerate, however large the bound.
+    def enumerated(*args):
+        raise AssertionError("enumerated multisets of an empty grid")
+
+    monkeypatch.setattr(scan.itertools, "combinations_with_replacement", enumerated)
+    assert notion_separation_scan(10**9, [], [T_40_60]).rows == ()
 
 
 def test_report_serialization_round_trip():
