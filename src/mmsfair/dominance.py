@@ -36,7 +36,7 @@ def dominates(p: MmsPair, p_prime: MmsPair) -> bool:
     union, which everything dominates.
     """
     # decompose(p.d, p_prime.d) inline (MmsPair already keeps d >= 1) and
-    # no min() call: the pair filtration makes O(m*|S|) of these calls.
+    # no min() call: the trace's fallback scan calls it once per survivor.
     l, d = p.l, p.d
     q = -(-p_prime.d // d)
     r = q * d - p_prime.d

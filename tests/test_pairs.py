@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmsfair import pairs
@@ -221,3 +221,71 @@ def test_filtration_dominance_call_count(monkeypatch):
     monkeypatch.setattr(pairs, "dominates", counting)
     assert len(non_dominated_pairs(Fraction(137, 262), 2000).pairs) == 575
     assert calls <= 311_339
+
+
+# The stack filtration: each candidate, in ascending d, against the kept
+# pairs only, popping at most the last one. Exact because dominance is
+# transitive and d - l strictly rises along the kept list; O(m*|S|)
+# dominance tests, the oracle at large m.
+def _stack_survivors(cands):
+    kept = []
+    for p in cands:
+        if not any(dominates(s, p) for s in kept):
+            if kept and dominates(p, kept[-1]):
+                kept.pop()
+            kept.append(p)
+    return kept
+
+
+def _scan_attribute(removed, survivors):
+    # The first survivor that a shortcut rule names, else the first that
+    # dominates: one scan per removal, the oracle for the lookup credits.
+    first = None
+    for s in survivors:
+        if dominates(s, removed):
+            if removed.l >= 1 and s.l >= 1 and corollary_case(s, removed) is not None:
+                return s
+            first = first or s
+    return first
+
+
+def test_filtration_matches_stack_oracle_for_small_denominators():
+    fractions = {Fraction(k, q) for q in range(1, 41) for k in range(1, q + 1)}
+    assert len(fractions) == 490
+    for a in sorted(fractions):
+        cands = candidate_pairs(a, 300)
+        survivors = _stack_survivors(cands)
+        assert non_dominated_pairs(a, 300).pairs == tuple(survivors), a
+        kept = set(survivors)
+        removed = [p for p in cands if p not in kept]
+        bys = [_scan_attribute(p, survivors) for p in removed]
+        assert [(t.removed, t.by) for t in filtration_trace(a, 300)] == list(zip(removed, bys)), a
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 200).flatmap(lambda q: st.tuples(st.integers(1, q), st.just(q))),
+       st.integers(1, 300))
+@example((1, 1), 300)
+@example((1, 1), 2)
+def test_dominated_earlier_reads_two_candidates_per_q(pq, d_prime):
+    a = Fraction(*pq)
+    p_prime = MmsPair(rational_floor_mul(a, d_prime), d_prime)
+    expected = any(
+        dominates(MmsPair(rational_floor_mul(a, d), d), p_prime) for d in range(1, d_prime)
+    )
+    assert pairs._dominated_earlier(a.numerator, a.denominator, d_prime) == expected
+
+
+def test_trace_dominance_call_count(monkeypatch):
+    # Only removals that no shortcut rule credits scan the survivors, and
+    # each scan stops at its first hit; a scan per removal makes 601,858.
+    calls = 0
+
+    def counting(p, p_prime):
+        nonlocal calls
+        calls += 1
+        return dominates(p, p_prime)
+
+    monkeypatch.setattr(pairs, "dominates", counting)
+    assert len(filtration_trace(Fraction(137, 262), 2000)) == 1425
+    assert calls <= 6_646
