@@ -12,18 +12,19 @@ Three notions are evaluated exactly:
 
 WMMS and BMMS values are exact rationals. BMMS deliberately uses a
 subset-sum enumeration rather than the labeled-partition search, so the
-two routes cross-check each other where they must agree.
+two routes cross-check each other where they must agree. At t_i = 1/n for
+all i the WMMS search is the 1-out-of-n share's, so a tied vector's WMMS
+is that share, read from the table OMMS reads. `agent_shares` and a scan
+compute each share and the sorted subset sums once per instance and each
+pair set once per (entitlement, item count): see `ShareTables`.
 
 Neither inner loop does Fraction arithmetic. The WMMS search puts the
 entitlements over a common denominator W, so w_j = t_j*W are integers;
 with L = lcm(w) and c_j = L // w_j, each ratio s/t_j is s*c_j * W/L, and
 the search compares the integer keys s*c_j, building one Fraction at the
 end. It is `engine._search` at l = 1 with scale c_j, parts of equal
-entitlement opened in order; `engine` states its rules.
-
-BMMS still enumerates every subset sum, then bisects the sorted sums for
-t_i*T: the split value rises up to that point and falls after it, so only
-the two sums on either side of it are scored.
+entitlement opened in order; `engine` states its rules. BMMS bisects the
+sorted subset sums for t_i*T and scores the two on either side of it.
 """
 from __future__ import annotations
 
@@ -54,28 +55,42 @@ def check_criteria(names: Sequence[str]) -> None:
             raise ValueError(f"unknown criterion {name!r}; choose from {CRITERIA}")
 
 
+class ShareTables:
+    """Share values and sorted subset sums of the current instance object
+    and pair sets by (entitlement, item count), for one call or scan."""
+
+    def __init__(self) -> None:
+        self.instance, self.pairs = None, {}
+
+    def of(self, instance: Instance) -> "ShareTables":
+        if instance is not self.instance:
+            self.instance, self.shares, self.sums = instance, {}, None
+        return self
+
+    def share(self, instance: Instance, p: MmsPair, limits: SearchLimits) -> Value:
+        shares = self.of(instance).shares
+        if p not in shares:
+            shares[p] = mms(instance, p, limits).value
+        return shares[p]
+
+
 def omms_requirements(
     instance: Instance,
     a: Fraction,
     limits: SearchLimits = DEFAULT_LIMITS,
-    shares: dict[MmsPair, Value] | None = None,
+    tables: ShareTables | None = None,
 ) -> list[tuple[MmsPair, Value]]:
     """The finitely many (condition, share value) checks equivalent to
-    "at least the l-out-of-d share for every l/d <= a".
-
-    `shares` holds share values of this instance already known by pair;
-    the ones computed here are added to it.
-    """
+    "at least the l-out-of-d share for every l/d <= a"; pair sets and share
+    values come from `tables` when given."""
     m = len(instance.items)
     if m == 0:
         return []
-    shares = {} if shares is None else shares
-    requirements = []
-    for p in non_dominated_pairs(a, m).pairs:
-        if p not in shares:
-            shares[p] = mms(instance, p, limits).value
-        requirements.append((p, shares[p]))
-    return requirements
+    tables = ShareTables() if tables is None else tables
+    key = (a.numerator, a.denominator, m)
+    if key not in tables.pairs:
+        tables.pairs[key] = non_dominated_pairs(a, m).pairs
+    return [(p, tables.share(instance, p, limits)) for p in tables.pairs[key]]
 
 
 def is_omms_fair(
@@ -139,58 +154,60 @@ def _subset_sums(items: Sequence[Value]) -> set[Value]:
 
 
 def bmms_value(
-    instance: Instance, t_i: Fraction, limits: SearchLimits = DEFAULT_LIMITS
+    instance: Instance, t_i: Fraction, limits: SearchLimits = DEFAULT_LIMITS,
+    tables: ShareTables | None = None,
 ) -> Fraction:
     """Bipartite weighted share: t_i times the best achievable
     min(V(X) / t_i, V(rest) / (1 - t_i)) over two-way splits.
 
     t_i = 1 is the degenerate whole-set split and evaluates to the total.
     """
-    if not 0 < t_i <= 1:
+    p, q = t_i.numerator, t_i.denominator
+    if not 0 < p <= q:
         raise ValueError(f"entitlement must satisfy 0 < t_i <= 1, got {t_i}")
     # The subset-sum enumeration grows with the item count only; one part
     # keeps the part bound out of it for any max_parts >= 1.
     limits.check(len(instance.items), 1)
     total = instance.total()
-    if t_i == 1:
+    if p == q:
         return Fraction(total)
     # min(s/t_i, (T-s)/(1-t_i)) rises up to s = t_i*T and falls after it,
     # so only the sums on either side of t_i*T can be best. The largest
     # sum lo <= t_i*T scores lo; the next one, hi > t_i*T, scores
     # t_i*(T-hi)/(1-t_i). 0 and T are sums, so lo always exists.
-    p, q = t_i.numerator, t_i.denominator
-    sums = sorted(_subset_sums(instance.items))
+    tables = (ShareTables() if tables is None else tables).of(instance)
+    sums = tables.sums = tables.sums or sorted(_subset_sums(instance.items))
     k = bisect_right(sums, p * total // q)
-    best = Fraction(sums[k - 1])
-    if k < len(sums):
-        best = max(best, Fraction(p * (total - sums[k]), q - p))
-    return best
+    lo = sums[k - 1]
+    if k < len(sums) and lo * (q - p) < p * (total - sums[k]):
+        return Fraction(p * (total - sums[k]), q - p)
+    return Fraction(lo)
 
 
 def agent_shares(
     instance: Instance,
     t: EntitlementVector,
     limits: SearchLimits = DEFAULT_LIMITS,
-    shares: dict[MmsPair, Value] | None = None,
+    tables: ShareTables | None = None,
 ) -> list[tuple[list[tuple[MmsPair, Value]], Fraction, Fraction]]:
     """(OMMS requirements, WMMS value, BMMS value) of every agent, in agent
-    order. One labeled-partition search serves all agents' WMMS values;
-    agents with equal entitlements share their OMMS and BMMS values, and
-    each share value is computed once. Shares are computed in first-use
-    order, so the first refusal is the one the agents meet in order.
-    `shares` is as in `omms_requirements`."""
-    best_ratio, _ = weighted_maximin_partition(instance, t.entitlements, limits)
-    shares = {} if shares is None else shares
-    by_entitlement: dict[Fraction, tuple[list[tuple[MmsPair, Value]], Fraction]] = {}
-    for t_i in t:
-        if t_i not in by_entitlement:
-            by_entitlement[t_i] = (
-                omms_requirements(instance, t_i, limits, shares),
-                bmms_value(instance, t_i, limits),
-            )
-    return [
-        (by_entitlement[t_i][0], t_i * best_ratio, by_entitlement[t_i][1]) for t_i in t
-    ]
+    order. Agents with equal entitlements share all three; `tables` (fresh
+    by default) holds each share, pair set and the subset sums once. All
+    t_i = 1/n makes WMMS the 1-out-of-n share, else one labeled-partition
+    search. Shares are computed in first-use order, so the first refusal
+    is the one the agents meet in order."""
+    tables = ShareTables() if tables is None else tables
+    # Agents are grouped by entitlement under integer keys, in first-use order.
+    keys = [(t_i.numerator, t_i.denominator) for t_i in t]
+    groups = dict(zip(keys, t))
+    if len(groups) == 1:
+        best_ratio = len(t) * tables.share(instance, MmsPair(1, len(t)), limits)
+    else:
+        best_ratio, _ = weighted_maximin_partition(instance, t.entitlements, limits)
+    for key, a in groups.items():
+        groups[key] = (omms_requirements(instance, a, limits, tables), a * best_ratio,
+                       bmms_value(instance, a, limits, tables))
+    return [groups[key] for key in keys]
 
 
 @dataclass(frozen=True, slots=True)

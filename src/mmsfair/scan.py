@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence
 
-from .core import EntitlementVector, Instance, MmsPair, Value, format_rational
-from .criteria import agent_shares
+from .core import EntitlementVector, Instance, Value, format_rational
+from .criteria import ShareTables, agent_shares
 from .engine import DEFAULT_LIMITS, SearchLimits
 
 
@@ -35,7 +35,7 @@ class ScanRow:
 
     @property
     def equal_entitlements(self) -> bool:
-        return len(set(self.entitlements)) == 1
+        return self.entitlements.count(self.entitlements[0]) == len(self.entitlements)
 
     @property
     def omms_wmms_coincide(self) -> bool:
@@ -147,10 +147,13 @@ def scan_one(
     instance: Instance,
     t: EntitlementVector,
     limits: SearchLimits = DEFAULT_LIMITS,
-    shares: dict[MmsPair, Value] | None = None,
+    tables: ShareTables | None = None,
 ) -> ScanRow:
-    requirements, wmms, bmms = zip(*agent_shares(instance, t, limits, shares))
+    requirements, wmms, bmms = zip(*agent_shares(instance, t, limits, tables))
     omms_max = tuple(max((v for _, v in r), default=0) for r in requirements)
+    # Integer comparisons by cross-multiplying; denominators are positive.
+    w = [(v.numerator, v.denominator) for v in wmms]
+    b = [(v.numerator, v.denominator) for v in bmms]
     idx = range(len(t))
     return ScanRow(
         items=tuple(instance.items),
@@ -158,10 +161,10 @@ def scan_one(
         omms_max=omms_max,
         wmms=wmms,
         bmms=bmms,
-        wmms_stronger=tuple(i for i in idx if wmms[i] > omms_max[i]),
-        omms_stronger=tuple(i for i in idx if omms_max[i] > wmms[i]),
-        bmms_below_wmms=tuple(i for i in idx if bmms[i] < wmms[i]),
-        bmms_below_omms=tuple(i for i in idx if bmms[i] < omms_max[i]),
+        wmms_stronger=tuple(i for i in idx if w[i][0] > omms_max[i] * w[i][1]),
+        omms_stronger=tuple(i for i in idx if omms_max[i] * w[i][1] > w[i][0]),
+        bmms_below_wmms=tuple(i for i in idx if b[i][0] * w[i][1] < w[i][0] * b[i][1]),
+        bmms_below_omms=tuple(i for i in idx if b[i][0] < omms_max[i] * b[i][1]),
     )
 
 
@@ -180,10 +183,9 @@ def notion_separation_scan(
     if max_instances is not None and max_instances < 0:
         raise ValueError(f"max_instances must be non-negative, got {max_instances}")
     rows = []
+    tables = ShareTables()  # one for all rows: see ShareTables
     for items in _instances(max_items, value_grid, max_instances, seed):
         instance = Instance(items)
-        # Share values depend on the instance and the pair only.
-        shares: dict[MmsPair, Value] = {}
         for t in entitlement_grid:
-            rows.append(scan_one(instance, t, limits, shares))
+            rows.append(scan_one(instance, t, limits, tables))
     return ScanReport(rows=tuple(rows), seed=seed)

@@ -273,6 +273,25 @@ def test_scan_refusal_echoes_its_own_limits(capsys):
     assert out == ""
 
 
+def test_scan_refusal_of_a_tied_vector(capsys):
+    # The first instance, (0,), needs its 1-out-of-3 share for WMMS.
+    code, out, err = run(
+        capsys,
+        "scan",
+        "--max-items",
+        "5",
+        "--values",
+        "0,7,19,31,60",
+        "--entitlements",
+        "1/3,1/3,1/3",
+        "--max-parts",
+        "2",
+    )
+    assert code == 3
+    assert "1 items into 3 parts (limits: 5 items, 2 parts)" in err
+    assert out == ""
+
+
 def test_scan_renders_counterexample_count():
     summary = {
         "rows": 5,

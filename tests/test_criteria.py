@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from mmsfair import criteria, engine
@@ -571,3 +571,41 @@ def test_weighted_partition_refuses_past_recursion_depth():
         weighted_maximin_partition(
             Instance((1,) * 3000), halves, SearchLimits(max_items=5000)
         )
+
+
+def tied(n):
+    return EntitlementVector((Fraction(1, n),) * n)
+
+
+@seed(15)
+@settings(max_examples=60, deadline=None)
+@given(small_instances, st.integers(1, 4), st.randoms(use_true_random=False))
+@example(Instance((7, 7, 0)), 4, random.Random(0))
+def test_audit_of_a_tied_vector_matches_the_weighted_search(instance, n, rng):
+    # A tied vector's WMMS comes from the 1-out-of-n share; the weighted
+    # search must give the same value to every agent.
+    bundles = [[] for _ in range(n)]
+    for j in range(len(instance.items)):
+        bundles[rng.randrange(n)].append(j)
+    report = audit(instance, tied(n), Allocation.from_lists(bundles))
+    best, _ = weighted_maximin_partition(instance, tied(n).entitlements)
+    for agent in report.agents:
+        assert agent.wmms_value == best / n
+        assert agent.wmms_ok == (agent.bundle_value >= best / n)
+
+
+@pytest.mark.parametrize(
+    "instance, n, limits",
+    [
+        (Instance((5, 4, 3, 2, 1)), 3, SearchLimits(max_parts=2)),
+        (Instance((5, 4, 3, 2, 1)), 4, SearchLimits(max_items=4)),
+        (Instance((1,) * 3000), 2, SearchLimits(max_items=5000)),
+    ],
+)
+def test_audit_of_a_tied_vector_refuses_as_the_weighted_search(instance, n, limits):
+    with pytest.raises(InstanceTooLargeError) as searched:
+        weighted_maximin_partition(instance, tied(n).entitlements, limits)
+    bundles = [list(range(len(instance.items)))] + [[] for _ in range(n - 1)]
+    with pytest.raises(InstanceTooLargeError) as audited:
+        audit(instance, tied(n), Allocation.from_lists(bundles), limits)
+    assert str(audited.value) == str(searched.value)

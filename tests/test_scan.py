@@ -2,11 +2,17 @@ import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from mmsfair import criteria, scan
-from mmsfair.core import EntitlementVector
+from mmsfair.core import EntitlementVector, Instance
+from mmsfair.criteria import bmms_value, weighted_maximin_partition
+from mmsfair.engine import mms
+from mmsfair.pairs import non_dominated_pairs
 from mmsfair.scan import (
     CSV_COLUMNS,
+    ScanRow,
     notion_separation_scan,
     report_jsonable,
     write_csv,
@@ -14,6 +20,11 @@ from mmsfair.scan import (
 
 T_40_60 = EntitlementVector((Fraction(2, 5), Fraction(3, 5)))
 T_SKEW = EntitlementVector((Fraction(3, 5), Fraction(1, 5), Fraction(1, 5)))
+T_74_26 = EntitlementVector((Fraction(74, 100), Fraction(26, 100)))
+
+
+def tied(n):
+    return EntitlementVector((Fraction(1, n),) * n)
 
 
 def _row(report, items, entitlements):
@@ -116,3 +127,85 @@ def test_scan_computes_each_share_once_per_instance(monkeypatch):
     monkeypatch.setattr(criteria, "mms", counted)
     assert notion_separation_scan(3, [0, 1, 40, 60], grid) == expected
     assert calls and len(calls) == len(set(calls))
+
+
+def reference_row(instance, t):
+    # One row on its own, sharing nothing with other rows or agents: the
+    # weighted search for every vector, tied or not, and a fresh pair set,
+    # share and subset-sum enumeration per agent, compared as Fractions.
+    m = len(instance.items)
+    best, _ = weighted_maximin_partition(instance, t.entitlements)
+    omms_max, wmms, bmms = [], [], []
+    for t_i in t:
+        pairs = non_dominated_pairs(t_i, m).pairs if m else ()
+        omms_max.append(max((mms(instance, p).value for p in pairs), default=0))
+        wmms.append(t_i * best)
+        bmms.append(bmms_value(instance, t_i))
+    idx = range(len(t))
+    return ScanRow(
+        items=instance.items,
+        entitlements=t.entitlements,
+        omms_max=tuple(omms_max),
+        wmms=tuple(wmms),
+        bmms=tuple(bmms),
+        wmms_stronger=tuple(i for i in idx if wmms[i] > omms_max[i]),
+        omms_stronger=tuple(i for i in idx if omms_max[i] > wmms[i]),
+        bmms_below_wmms=tuple(i for i in idx if bmms[i] < wmms[i]),
+        bmms_below_omms=tuple(i for i in idx if bmms[i] < omms_max[i]),
+    )
+
+
+random_vectors = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(
+    lambda ws: EntitlementVector(tuple(Fraction(w, sum(ws)) for w in ws))
+)
+vectors = st.sampled_from([tied(2), tied(3), tied(4), T_74_26, T_40_60, T_SKEW]) | random_vectors
+
+
+@seed(15)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(st.integers(0, 30), min_size=1, max_size=4),
+    st.lists(vectors, min_size=1, max_size=4),
+)
+# Zeros, repeated values and fewer items than agents, for every tied vector
+# and 74/100 with 26/100.
+@example(3, [0, 7, 7], [tied(2), tied(3), tied(4), T_74_26])
+def test_scan_rows_match_a_row_by_row_reference(max_items, grid, grid_vectors):
+    report = notion_separation_scan(max_items, grid, grid_vectors, max_instances=12, seed=1)
+    assert report.rows == tuple(
+        reference_row(Instance(row.items), t)
+        for row, t in zip(report.rows, grid_vectors * len(report.rows))
+    )
+    assert report.summary()["rows_equal_entitlements"] == sum(
+        len(set(row.entitlements)) == 1 for row in report.rows
+    )
+
+
+def test_scan_computes_pair_sets_subset_sums_and_tied_shares_once(monkeypatch):
+    grid = [T_40_60, T_SKEW, tied(2), tied(3), T_74_26]
+    expected = notion_separation_scan(3, [0, 1, 40, 60], grid)
+    calls = {"non_dominated_pairs": [], "_subset_sums": [], "weighted_maximin_partition": []}
+
+    def counted(name):
+        real = getattr(criteria, name)
+
+        def wrapper(*args):
+            calls[name].append(args)
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(criteria, name, counted(name))
+    assert notion_separation_scan(3, [0, 1, 40, 60], grid) == expected
+    instances = {row.items for row in expected.rows}
+    # One pair set per (entitlement, item count), one enumeration per
+    # instance, and the weighted search for untied vectors only.
+    pair_sets = calls["non_dominated_pairs"]
+    assert len(pair_sets) == len(set(pair_sets))
+    assert set(pair_sets) == {(t_i, m) for t in grid for t_i in t for m in (1, 2, 3)}
+    assert sorted(items for items, in calls["_subset_sums"]) == sorted(instances)
+    searched = [entitlements for _, entitlements, _ in calls["weighted_maximin_partition"]]
+    assert len(searched) == 3 * len(instances)
+    assert all(len(set(entitlements)) > 1 for entitlements in searched)
