@@ -15,7 +15,6 @@ from .core import (
     canonicalize,
     parse_items,
     parse_rational,
-    rational_floor_mul,
 )
 from .criteria import (
     AgentAudit,
@@ -23,25 +22,15 @@ from .criteria import (
     FairnessReport,
     audit,
     bmms_value,
-    is_omms_fair,
     omms_requirements,
     weighted_maximin_partition,
     wmms_value,
 )
-from .dominance import (
-    Decomposition,
-    bundle_size_reduction_applies,
-    corollary_case,
-    decompose,
-    dominates,
-    non_dominance_witness,
-)
+from .dominance import Decomposition, decompose, dominates, non_dominance_witness
 from .engine import (
     DEFAULT_LIMITS,
     MmsResult,
     SearchLimits,
-    brute_force_mms,
-    brute_force_mms_table,
     min_l_union,
     mms,
     mms_cardinality,
@@ -72,16 +61,11 @@ __all__ = [
     "Value",
     "audit",
     "bmms_value",
-    "brute_force_mms",
-    "brute_force_mms_table",
-    "bundle_size_reduction_applies",
     "canonicalize",
     "candidate_pairs",
-    "corollary_case",
     "decompose",
     "dominates",
     "filtration_trace",
-    "is_omms_fair",
     "min_l_union",
     "mms",
     "mms_cardinality",
@@ -91,7 +75,6 @@ __all__ = [
     "omms_requirements",
     "parse_items",
     "parse_rational",
-    "rational_floor_mul",
     "scan_one",
     "weighted_maximin_partition",
     "wmms_value",

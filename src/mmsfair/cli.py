@@ -174,11 +174,12 @@ def _exec_scan(inputs: dict) -> tuple[int, dict]:
         EntitlementVector(tuple(parse_rational(s) for s in vector))
         for vector in inputs.get("entitlement_grid", [])
     ]
+    max_instances = inputs.get("max_instances")
     report = notion_separation_scan(
         int(inputs.get("max_items", 0)),
         value_grid,
         entitlement_grid,
-        max_instances=inputs.get("max_instances"),
+        max_instances=None if max_instances is None else int(max_instances),
         seed=int(inputs.get("seed", 0)),
         limits=_limits(inputs),
     )
@@ -324,6 +325,15 @@ def _build_scan_inputs(args: argparse.Namespace) -> dict:
     }
 
 
+def _add_max_parts_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--max-parts",
+        type=int,
+        default=DEFAULT_LIMITS.max_parts,
+        help="search safety bound on part count (default %(default)s)",
+    )
+
+
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-items",
@@ -331,12 +341,7 @@ def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_LIMITS.max_items,
         help="search safety bound on item count (default %(default)s)",
     )
-    parser.add_argument(
-        "--max-parts",
-        type=int,
-        default=DEFAULT_LIMITS.max_parts,
-        help="search safety bound on part count (default %(default)s)",
-    )
+    _add_max_parts_flag(parser)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -424,12 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--max-instances", type=int, default=None)
     p_scan.add_argument("--seed", type=int, default=0)
     p_scan.add_argument("--out", metavar="FILE", help="write the CSV report here")
-    p_scan.add_argument(
-        "--max-parts",
-        type=int,
-        default=DEFAULT_LIMITS.max_parts,
-        help="search safety bound on part count (default %(default)s)",
-    )
+    _add_max_parts_flag(p_scan)
     _add_common_flags(p_scan)
 
     return parser

@@ -177,16 +177,3 @@ class EntitlementVector:
         pieces = [p for p in text.split(",") if p.strip()]
         return cls(tuple(parse_rational(p) for p in pieces))
 
-
-def check_entitlement(a: Fraction) -> None:
-    """Reject an entitlement outside (0, 1]."""
-    if not 0 < a <= 1:
-        raise ValueError(f"entitlement must satisfy 0 < a <= 1, got {a}")
-
-
-def rational_floor_mul(a: Fraction, d: int) -> int:
-    """Largest integer l with l/d <= a, computed exactly."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    check_entitlement(a)
-    return (a.numerator * d) // a.denominator

@@ -93,15 +93,6 @@ def omms_requirements(
     return [(p, tables.share(instance, p, limits)) for p in tables.pairs[key]]
 
 
-def is_omms_fair(
-    instance: Instance,
-    a: Fraction,
-    bundle_value: Value,
-    limits: SearchLimits = DEFAULT_LIMITS,
-) -> bool:
-    return all(bundle_value >= value for _, value in omms_requirements(instance, a, limits))
-
-
 def weighted_maximin_partition(
     instance: Instance,
     entitlements: Sequence[Fraction],

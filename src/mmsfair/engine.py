@@ -36,8 +36,7 @@ largest remaining items that cover each must fit in the remaining count
 (this cuts all that water-filling would). The last item is placed in closed
 form, after one cut for every l: no key rises by more than v*lcm(scale) or
 past the l+1-th smallest. The witness is re-checked on every call.
-`brute_force_mms` is the deliberately dumb reference oracle used by the
-tests; `mms_cardinality` is the closed form for identical unit items.
+`mms_cardinality` is the closed form for identical unit items.
 """
 from __future__ import annotations
 
@@ -75,9 +74,6 @@ class SearchLimits:
 
 
 DEFAULT_LIMITS = SearchLimits()
-
-ORACLE_MAX_ITEMS = 10
-ORACLE_MAX_PARTS = 6
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,37 +266,6 @@ def mms(
         return MmsResult(0, PartitionAssignment((0,) * m, d))
     limits.check(m, d)
     return MmsResult(*_search(instance.items, l, (1,) * d))
-
-
-def brute_force_mms_table(instance: Instance, d: int) -> tuple[Value, ...]:
-    """Share values for every l in 0..d by unpruned enumeration of all d**m
-    part assignments. Reference oracle: small scale only."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    items = instance.items
-    m = len(items)
-    if m > ORACLE_MAX_ITEMS or d > ORACLE_MAX_PARTS:
-        raise InstanceTooLargeError(
-            f"brute-force oracle limited to {ORACLE_MAX_ITEMS} items and "
-            f"{ORACLE_MAX_PARTS} parts, got {m} items into {d} parts"
-        )
-    best = [0] * (d + 1)
-    for assign in itertools.product(range(d), repeat=m):
-        sums = [0] * d
-        for j, k in enumerate(assign):
-            sums[k] += items[j]
-        sums.sort()
-        running = 0
-        for l in range(1, d + 1):
-            running += sums[l - 1]
-            if running > best[l]:
-                best[l] = running
-    return tuple(best)
-
-
-def brute_force_mms(instance: Instance, pair: MmsPair) -> Value:
-    """Oracle twin of `mms(...).value`; same contract, no pruning."""
-    return brute_force_mms_table(instance, pair.d)[pair.l]
 
 
 def mms_cardinality(m: int, pair: MmsPair) -> int:

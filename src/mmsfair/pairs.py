@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .core import MmsPair, check_entitlement
+from .core import MmsPair
 from .dominance import decompose, dominates
 
 
@@ -53,7 +53,8 @@ class Removal:
 def _ratio(a: Fraction, m: int) -> tuple[int, int]:
     if m < 1:
         raise ValueError(f"item count must be at least 1, got {m}")
-    check_entitlement(a)
+    if not 0 < a <= 1:
+        raise ValueError(f"entitlement must satisfy 0 < a <= 1, got {a}")
     return a.numerator, a.denominator
 
 

@@ -124,10 +124,6 @@ def write_csv_rows(rows: Sequence[dict], out: IO[str]) -> None:
             )
 
 
-def write_csv(report: ScanReport, out: IO[str]) -> None:
-    write_csv_rows(report_jsonable(report)["rows"], out)
-
-
 def _instances(
     max_items: int, value_grid: Sequence[Value], max_instances: int | None, seed: int
 ) -> list[tuple[Value, ...]]:

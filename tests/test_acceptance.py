@@ -11,8 +11,9 @@ from mmsfair.cli import main
 from mmsfair.core import EntitlementVector, Instance, MmsPair
 from mmsfair.criteria import Allocation, audit, omms_requirements, wmms_value
 from mmsfair.dominance import dominates, non_dominance_witness
-from mmsfair.engine import brute_force_mms_table, mms, mms_cardinality
+from mmsfair.engine import mms, mms_cardinality
 from mmsfair.pairs import Removal, candidate_pairs, filtration_trace, non_dominated_pairs
+from oracles import brute_force_mms_table
 
 SEED = 20260810
 

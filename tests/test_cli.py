@@ -368,6 +368,14 @@ def test_execute_rejects_unknown_command():
         execute("nope", {})
 
 
+def test_execute_scan_reads_max_instances_like_the_other_numbers():
+    # A hand-edited record may hold the sample size as a string.
+    inputs = {"max_items": 3, "value_grid": [0, 1, 2], "entitlement_grid": [["1/2", "1/2"]]}
+    code, outputs = execute("scan", dict(inputs, max_instances=3))
+    assert (code, outputs["summary"]["rows"]) == (0, 3)
+    assert execute("scan", dict(inputs, max_instances="3")) == (code, outputs)
+
+
 def test_module_entry_point_subprocess():
     import subprocess
     import sys

@@ -12,7 +12,6 @@ from mmsfair.core import (
     canonicalize,
     parse_items,
     parse_rational,
-    rational_floor_mul,
 )
 
 small_items = st.lists(st.integers(0, 9), max_size=8)
@@ -49,32 +48,6 @@ def test_parse_items_forms():
     assert parse_items("").items == ()
     with pytest.raises(ValueError):
         parse_items("1,two,3")
-
-
-def test_rational_floor_mul_known_values():
-    assert rational_floor_mul(Fraction(74, 100), 7) == 5
-    assert rational_floor_mul(Fraction(74, 100), 1) == 0
-    assert rational_floor_mul(Fraction(1, 3), 3) == 1
-
-
-def test_rational_floor_mul_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        rational_floor_mul(Fraction(0), 3)
-    with pytest.raises(ValueError):
-        rational_floor_mul(Fraction(-1, 2), 3)
-    with pytest.raises(ValueError):
-        rational_floor_mul(Fraction(11, 10), 3)
-    with pytest.raises(ValueError):
-        rational_floor_mul(Fraction(1, 2), 0)
-
-
-@given(
-    st.fractions(min_value=Fraction(1, 1000), max_value=1),
-    st.integers(1, 200),
-)
-def test_rational_floor_mul_bracket(a, d):
-    l = rational_floor_mul(a, d)
-    assert Fraction(l, d) <= a < Fraction(l + 1, d)
 
 
 @given(st.fractions(), st.fractions())

@@ -8,15 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmsfair.core import Instance, MmsPair
-from mmsfair.dominance import (
-    Decomposition,
-    bundle_size_reduction_applies,
-    corollary_case,
-    decompose,
-    dominates,
-    non_dominance_witness,
-)
-from mmsfair.engine import brute_force_mms, mms, mms_cardinality
+from mmsfair.dominance import Decomposition, decompose, dominates, non_dominance_witness
+from mmsfair.engine import mms, mms_cardinality
+from oracles import brute_force_mms, bundle_size_reduction_applies, corollary_case
 
 any_pair = st.integers(1, 12).flatmap(
     lambda d: st.integers(0, d).map(lambda l: MmsPair(l, d))

@@ -14,14 +14,8 @@ from mmsfair.core import (
     canonicalize,
 )
 from mmsfair.dominance import dominates
-from mmsfair.engine import (
-    SearchLimits,
-    brute_force_mms,
-    brute_force_mms_table,
-    min_l_union,
-    mms,
-    mms_cardinality,
-)
+from mmsfair.engine import SearchLimits, min_l_union, mms, mms_cardinality
+from oracles import brute_force_mms, brute_force_mms_table
 
 INTRO = Instance((1, 3, 5, 6, 9))
 

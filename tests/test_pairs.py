@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmsfair import pairs
-from mmsfair.core import Instance, MmsPair, rational_floor_mul
-from mmsfair.dominance import corollary_case, decompose, dominates
+from mmsfair.core import Instance, MmsPair
+from mmsfair.dominance import decompose, dominates
 from mmsfair.engine import mms
 from mmsfair.pairs import (
     Removal,
@@ -16,6 +16,7 @@ from mmsfair.pairs import (
     filtration_trace,
     non_dominated_pairs,
 )
+from oracles import corollary_case
 
 entitlements = st.fractions(min_value=Fraction(1, 100), max_value=1)
 
@@ -31,6 +32,7 @@ def test_candidate_pairs_examples():
         MmsPair(5, 7),
     ]
     assert candidate_pairs(Fraction(1), 3) == [MmsPair(1, 1), MmsPair(2, 2), MmsPair(3, 3)]
+    assert candidate_pairs(Fraction(1, 3), 3) == [MmsPair(0, 1), MmsPair(0, 2), MmsPair(1, 3)]
     assert candidate_pairs(Fraction(1, 2), 4) == [
         MmsPair(0, 1),
         MmsPair(1, 2),
@@ -45,7 +47,21 @@ def test_candidate_pairs_rejects_bad_inputs():
     with pytest.raises(ValueError):
         candidate_pairs(Fraction(0), 3)
     with pytest.raises(ValueError):
+        candidate_pairs(Fraction(-1, 2), 3)
+    with pytest.raises(ValueError):
         candidate_pairs(Fraction(3, 2), 3)
+
+
+@given(
+    st.fractions(min_value=Fraction(1, 1000), max_value=1),
+    st.integers(1, 200),
+)
+def test_candidate_pairs_floor_bracket(a, m):
+    # l_d is the largest integer with l_d / d <= a, for every d in 1..m.
+    cands = candidate_pairs(a, m)
+    assert [p.d for p in cands] == list(range(1, m + 1))
+    for p in cands:
+        assert Fraction(p.l, p.d) <= a < Fraction(p.l + 1, p.d)
 
 
 def test_non_dominated_pairs_examples():
@@ -78,7 +94,7 @@ def test_pair_set_invariants(a, m):
     assert list(survivors) == sorted(survivors, key=lambda p: p.d)
     for p in survivors:
         assert p.d <= m
-        assert p.l == rational_floor_mul(a, d=p.d)
+        assert Fraction(p.l, p.d) <= a < Fraction(p.l + 1, p.d)
     for p in survivors:
         for p2 in survivors:
             if p != p2:
@@ -269,10 +285,8 @@ def test_filtration_matches_stack_oracle_for_small_denominators():
 @example((1, 1), 2)
 def test_dominated_earlier_reads_two_candidates_per_q(pq, d_prime):
     a = Fraction(*pq)
-    p_prime = MmsPair(rational_floor_mul(a, d_prime), d_prime)
-    expected = any(
-        dominates(MmsPair(rational_floor_mul(a, d), d), p_prime) for d in range(1, d_prime)
-    )
+    *earlier, p_prime = candidate_pairs(a, d_prime)
+    expected = any(dominates(p, p_prime) for p in earlier)
     assert pairs._dominated_earlier(a.numerator, a.denominator, d_prime) == expected
 
 

@@ -15,7 +15,7 @@ from mmsfair.scan import (
     ScanRow,
     notion_separation_scan,
     report_jsonable,
-    write_csv,
+    write_csv_rows,
 )
 
 T_40_60 = EntitlementVector((Fraction(2, 5), Fraction(3, 5)))
@@ -101,7 +101,7 @@ def test_report_serialization_round_trip():
     assert blob["rows"][0]["entitlements"] == ["2/5", "3/5"]
 
     out = io.StringIO()
-    write_csv(report, out)
+    write_csv_rows(blob["rows"], out)
     lines = out.getvalue().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     # one line per (instance, entitlements, agent)
