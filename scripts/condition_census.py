@@ -31,7 +31,7 @@ def main() -> None:
         a = Fraction(k, q)
         counts = []
         for m in range(1, args.max_items + 1):
-            survivors = non_dominated_pairs(a, m).pairs
+            survivors = non_dominated_pairs(a, m)
             counts.append(len(survivors))
             worst = max(worst, len(survivors))
             if args.show_survivors:

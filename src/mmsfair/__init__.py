@@ -10,7 +10,6 @@ from .core import (
     InstanceTooLargeError,
     MmsPair,
     PartitionAssignment,
-    Rational,
     Value,
     canonicalize,
     parse_items,
@@ -35,7 +34,7 @@ from .engine import (
     mms,
     mms_cardinality,
 )
-from .pairs import PairSet, Removal, candidate_pairs, filtration_trace, non_dominated_pairs
+from .pairs import Removal, candidate_pairs, filtration_trace, non_dominated_pairs
 from .scan import ScanReport, ScanRow, notion_separation_scan, scan_one
 
 __version__ = "0.1.0"
@@ -51,9 +50,7 @@ __all__ = [
     "InstanceTooLargeError",
     "MmsPair",
     "MmsResult",
-    "PairSet",
     "PartitionAssignment",
-    "Rational",
     "Removal",
     "ScanReport",
     "ScanRow",

@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -40,29 +39,18 @@ EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
 
-@dataclass
-class RunRecord:
-    """Replayable record of one invocation. `outputs` is bit-exact across
-    reruns; only `wall_time_s` varies."""
-
-    command: str
-    inputs: dict
-    outputs: dict
-    engine_version: str
-    wall_time_s: float
-
-
-def replay(record: RunRecord) -> dict:
-    """Re-run the recorded inputs; returns outputs that must equal the
-    recorded ones."""
-    _, outputs = execute(record.command, record.inputs)
-    return outputs
+def _int(value: object) -> int:
+    """An int that is not a bool, or the decimal text of one; anything
+    else, such as 3.7 or True, raises instead of being truncated."""
+    if type(value) is int or isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def _limits(inputs: dict) -> SearchLimits:
     return SearchLimits(
-        max_items=int(inputs.get("max_items", DEFAULT_LIMITS.max_items)),
-        max_parts=int(inputs.get("max_parts", DEFAULT_LIMITS.max_parts)),
+        max_items=_int(inputs.get("max_items", DEFAULT_LIMITS.max_items)),
+        max_parts=_int(inputs.get("max_parts", DEFAULT_LIMITS.max_parts)),
     )
 
 
@@ -120,7 +108,7 @@ def _exec_dominates(inputs: dict) -> tuple[int, dict]:
 
 def _exec_pairs(inputs: dict) -> tuple[int, dict]:
     a = parse_rational(inputs["entitlement"])
-    m = int(inputs["item_count"])
+    m = _int(inputs["item_count"])
     candidates = candidate_pairs(a, m)
     trace = filtration_trace(a, m, candidates)
     removed = {t.removed for t in trace}
@@ -169,18 +157,18 @@ def _exec_audit(inputs: dict) -> tuple[int, dict]:
 
 
 def _exec_scan(inputs: dict) -> tuple[int, dict]:
-    value_grid = [int(v) for v in inputs.get("value_grid", [])]
+    value_grid = [_int(v) for v in inputs.get("value_grid", [])]
     entitlement_grid = [
         EntitlementVector(tuple(parse_rational(s) for s in vector))
         for vector in inputs.get("entitlement_grid", [])
     ]
     max_instances = inputs.get("max_instances")
     report = notion_separation_scan(
-        int(inputs.get("max_items", 0)),
+        _int(inputs.get("max_items", 0)),
         value_grid,
         entitlement_grid,
-        max_instances=None if max_instances is None else int(max_instances),
-        seed=int(inputs.get("seed", 0)),
+        max_instances=None if max_instances is None else _int(max_instances),
+        seed=_int(inputs.get("seed", 0)),
         limits=_limits(inputs),
     )
     return EXIT_OK, report_jsonable(report)
@@ -461,7 +449,8 @@ def main(argv: list[str] | None = None) -> int:
         started = time.perf_counter()
         code, outputs = execute(args.command, inputs)
         wall = time.perf_counter() - started
-        # The record holds the RunRecord fields: the envelope plus wall time.
+        # The record is the envelope plus wall time; `execute(record["command"],
+        # record["inputs"])` gives back its outputs.
         envelope = {
             "command": args.command,
             "engine_version": __version__,

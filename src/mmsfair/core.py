@@ -15,9 +15,6 @@ from typing import Iterable, Sequence
 #: arbitrarily large values stay exact.
 Value = int
 
-#: Exact rational number (entitlements, weighted share values).
-Rational = Fraction
-
 
 class InstanceTooLargeError(Exception):
     """An exact search was refused because it exceeds the configured safety bound."""
@@ -170,10 +167,3 @@ class EntitlementVector:
 
     def __iter__(self) -> Iterable[Fraction]:
         return iter(self.entitlements)
-
-    @classmethod
-    def parse(cls, text: str) -> "EntitlementVector":
-        """Parse a comma separated list of "p/q" or decimal entitlements."""
-        pieces = [p for p in text.split(",") if p.strip()]
-        return cls(tuple(parse_rational(p) for p in pieces))
-

@@ -68,10 +68,11 @@ class ShareTables:
         return self
 
     def share(self, instance: Instance, p: MmsPair, limits: SearchLimits) -> Value:
-        shares = self.of(instance).shares
-        if p not in shares:
-            shares[p] = mms(instance, p, limits).value
-        return shares[p]
+        # Keyed by (l, d): an MmsPair hashes in Python, a tuple in C.
+        shares, key = self.of(instance).shares, (p.l, p.d)
+        if key not in shares:
+            shares[key] = mms(instance, p, limits).value
+        return shares[key]
 
 
 def omms_requirements(
@@ -89,7 +90,7 @@ def omms_requirements(
     tables = ShareTables() if tables is None else tables
     key = (a.numerator, a.denominator, m)
     if key not in tables.pairs:
-        tables.pairs[key] = non_dominated_pairs(a, m).pairs
+        tables.pairs[key] = non_dominated_pairs(a, m)
     return [(p, tables.share(instance, p, limits)) for p in tables.pairs[key]]
 
 
@@ -209,7 +210,11 @@ class Allocation:
 
     @classmethod
     def from_lists(cls, lists: Sequence[Sequence[int]]) -> "Allocation":
-        return cls(tuple(frozenset(int(i) for i in b) for b in lists))
+        for bundle in lists:
+            for i in bundle:
+                if isinstance(i, bool) or not isinstance(i, int):
+                    raise ValueError(f"item index must be an integer, got {i!r}")
+        return cls(tuple(frozenset(b) for b in lists))
 
     def validate_for(self, instance: Instance) -> None:
         seen: set[int] = set()

@@ -21,6 +21,9 @@ fall, so no survivor list is scanned:
   names: the first one with the same l (b) or the reduced form (d), else
   the one with the same d - l (c), unique as d - l strictly rises along
   the survivors. Without one, `_attribute` takes the first that dominates.
+  At l = 0 every survivor dominates, and a rule names the first or none:
+  (b) and (d) (the reduced form is (0, 1)) only when (0, 1) is the lone
+  survivor, (c) only the first, as its d - l is already at least d.
 """
 from __future__ import annotations
 
@@ -30,13 +33,6 @@ from math import gcd
 
 from .core import MmsPair
 from .dominance import decompose, dominates
-
-
-@dataclass(frozen=True, slots=True)
-class PairSet:
-    """Surviving conditions, sorted by d ascending."""
-
-    pairs: tuple[MmsPair, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,17 +74,18 @@ def _dominated_earlier(num: int, den: int, d: int) -> bool:
     return False
 
 
-def non_dominated_pairs(a: Fraction, m: int) -> PairSet:
-    """Candidates minus everything dominated by another candidate."""
+def non_dominated_pairs(a: Fraction, m: int) -> tuple[MmsPair, ...]:
+    """Candidates minus everything dominated by another candidate, sorted
+    by d ascending."""
     num, den = _ratio(a, m)
     if num * m < den or num == den:  # every l is 0, or a = 1
-        return PairSet((MmsPair(num // den, 1),))
+        return (MmsPair(num // den, 1),)
     kept = []
     for d in range(1, m + 1):
         l = num * d // den
         if l and (d == m or num * (d + 1) // den == l) and not _dominated_earlier(num, den, d):
             kept.append(MmsPair(l, d))
-    return PairSet(tuple(kept))
+    return tuple(kept)
 
 
 def _attribute(removed: MmsPair, survivors: tuple[MmsPair, ...]) -> MmsPair:
@@ -105,10 +102,10 @@ def filtration_trace(
     a: Fraction, m: int, candidates: list[MmsPair] | None = None
 ) -> list[Removal]:
     """Audit of every removal; candidates minus the removed entries equal
-    the surviving PairSet. A caller that already holds
+    `non_dominated_pairs(a, m)`. A caller that already holds
     `candidate_pairs(a, m)` passes it as `candidates`."""
     cands = candidate_pairs(a, m) if candidates is None else candidates
-    survivors = non_dominated_pairs(a, m).pairs
+    survivors = non_dominated_pairs(a, m)
     at_d = {s.d: s for s in survivors}
     with_gap = {s.d - s.l: s for s in survivors}
     first_with_l = {s.l: s for s in reversed(survivors)}
@@ -117,15 +114,12 @@ def filtration_trace(
         l, d = p.l, p.d
         if d in at_d:
             continue
-        by = None
-        if l:  # rules (b), (d) (at gcd 1 the reduced form is p) and (c)
-            b, red, c = first_with_l.get(l), at_d.get(d // gcd(l, d)), with_gap.get(d - l)
-            if b and b.d < d:
-                by = red if red and red.d < b.d else b
-            else:
-                by = red or (c if c and c.d > d else None)
-        if by is None:
-            by = _attribute(p, survivors)
+        # Rules (b), (d) (at gcd 1 the reduced form is p) and (c).
+        b, red, c = first_with_l.get(l), at_d.get(d // gcd(l, d)), with_gap.get(d - l)
+        if b and b.d < d:
+            by = red if red and red.d < b.d else b
+        else:
+            by = red or (c if c and c.d > d else None) or _attribute(p, survivors)
         dec = decompose(by.d, d)
         trace.append(Removal(removed=p, by=by, q=dec.q, r=dec.r))
     return trace

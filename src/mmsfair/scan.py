@@ -39,7 +39,7 @@ class ScanRow:
 
     @property
     def omms_wmms_coincide(self) -> bool:
-        return all(o == w for o, w in zip(self.omms_max, self.wmms))
+        return not self.wmms_stronger and not self.omms_stronger
 
 
 @dataclass(frozen=True, slots=True)

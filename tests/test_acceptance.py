@@ -55,7 +55,7 @@ def test_a03_enumeration_worked_example():
         MmsPair(4, 6),
         MmsPair(5, 7),
     ]
-    assert non_dominated_pairs(a, 7).pairs == (MmsPair(2, 3), MmsPair(5, 7))
+    assert non_dominated_pairs(a, 7) == (MmsPair(2, 3), MmsPair(5, 7))
     assert filtration_trace(a, 7) == [
         Removal(MmsPair(0, 1), MmsPair(2, 3), q=1, r=2),
         Removal(MmsPair(1, 2), MmsPair(2, 3), q=1, r=1),

@@ -17,9 +17,7 @@ PUBLIC_NAMES = [
     "InstanceTooLargeError",
     "MmsPair",
     "MmsResult",
-    "PairSet",
     "PartitionAssignment",
-    "Rational",
     "Removal",
     "ScanReport",
     "ScanRow",
@@ -48,7 +46,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 35
     assert sorted(mmsfair.__all__) == PUBLIC_NAMES
 
 

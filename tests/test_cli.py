@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from mmsfair.cli import RunRecord, _render_scan, execute, main, replay
+from mmsfair.cli import _render_scan, execute, main
 
 
 def run(capsys, *argv):
@@ -357,8 +357,8 @@ def test_run_record_replay(tmp_path, capsys):
     stored = json.loads(record_file.read_text())
     assert stored["engine_version"]
     assert stored["wall_time_s"] >= 0
-    record = RunRecord(**stored)
-    assert replay(record) == stored["outputs"]
+    assert sorted(stored) == ["command", "engine_version", "inputs", "outputs", "wall_time_s"]
+    assert execute(stored["command"], stored["inputs"]) == (0, stored["outputs"])
     # and the replayed outputs equal what was printed
     assert json.loads(out)["outputs"] == stored["outputs"]
 
@@ -374,6 +374,35 @@ def test_execute_scan_reads_max_instances_like_the_other_numbers():
     code, outputs = execute("scan", dict(inputs, max_instances=3))
     assert (code, outputs["summary"]["rows"]) == (0, 3)
     assert execute("scan", dict(inputs, max_instances="3")) == (code, outputs)
+
+
+_SCAN = {"max_items": 2, "value_grid": [1, 2], "entitlement_grid": [["1"]]}
+
+
+@pytest.mark.parametrize(
+    "command, inputs",
+    [
+        ("mms", {"items": [3, 1], "pair": "1/1", "max_items": 16.0}),
+        ("mms", {"items": [3, 1], "pair": "1/1", "max_parts": True}),
+        ("pairs", {"entitlement": "1/2", "item_count": 3.7}),
+        ("scan", dict(_SCAN, value_grid=[2.5])),
+        ("scan", dict(_SCAN, max_items=2.0)),
+        ("scan", dict(_SCAN, max_instances=2.5)),
+        ("scan", dict(_SCAN, seed=False)),
+    ],
+    ids=["max_items", "max_parts", "item_count", "value_grid", "scan_max_items",
+         "max_instances", "seed"],
+)
+def test_execute_refuses_numbers_it_would_truncate(command, inputs):
+    # int() would read 16.0 as 16, True as 1, 3.7 as 3 and 2.5 as 2.
+    with pytest.raises(ValueError, match="expected an integer"):
+        execute(command, inputs)
+
+
+def test_execute_audit_refuses_fractional_item_indices():
+    inputs = {"items": [1, 2], "entitlements": ["1/2", "1/2"], "allocation": [[0.9], [1.2]]}
+    with pytest.raises(ValueError, match="item index must be an integer"):
+        execute("audit", inputs)
 
 
 def test_module_entry_point_subprocess():

@@ -102,15 +102,15 @@ def test_partition_assignment_parts_rejects_wrong_item_count():
 
 
 def test_entitlement_vector_validation():
-    t = EntitlementVector.parse("0.4,0.6")
+    t = EntitlementVector((Fraction("0.4"), Fraction("0.6")))
     assert t.entitlements == (Fraction(2, 5), Fraction(3, 5))
     assert len(t) == 2 and t[1] == Fraction(3, 5)
-    single = EntitlementVector.parse("1")
+    single = EntitlementVector((1,))
     assert single.entitlements == (Fraction(1),)
     with pytest.raises(ValueError):
-        EntitlementVector.parse("0.4,0.5")
+        EntitlementVector((Fraction("0.4"), Fraction("0.5")))
     with pytest.raises(ValueError):
-        EntitlementVector.parse("1,0")
+        EntitlementVector((Fraction(1), Fraction(0)))
     with pytest.raises(ValueError):
         EntitlementVector(())
     with pytest.raises(ValueError):

@@ -173,6 +173,10 @@ def test_allocation_validation():
         Allocation.from_lists([[0], []]).validate_for(TWO_ITEMS)
     with pytest.raises(ValueError):
         Allocation.from_lists([[0], [1, 2]]).validate_for(TWO_ITEMS)
+    # The same rule as Instance's item values: no bool, float or text.
+    for index in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="item index must be an integer"):
+            Allocation.from_lists([[0], [index]])
 
 
 def test_audit_intro_allocation_is_omms_fair():

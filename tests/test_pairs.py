@@ -65,13 +65,13 @@ def test_candidate_pairs_floor_bracket(a, m):
 
 
 def test_non_dominated_pairs_examples():
-    assert non_dominated_pairs(Fraction(74, 100), 7).pairs == (MmsPair(2, 3), MmsPair(5, 7))
-    assert non_dominated_pairs(Fraction(1, 2), 4).pairs == (MmsPair(1, 2),)
-    assert non_dominated_pairs(Fraction(1), 3).pairs == (MmsPair(1, 1),)
+    assert non_dominated_pairs(Fraction(74, 100), 7) == (MmsPair(2, 3), MmsPair(5, 7))
+    assert non_dominated_pairs(Fraction(1, 2), 4) == (MmsPair(1, 2),)
+    assert non_dominated_pairs(Fraction(1), 3) == (MmsPair(1, 1),)
 
 
 def test_all_zero_candidates_keep_smallest_d():
-    assert non_dominated_pairs(Fraction(1, 10), 3).pairs == (MmsPair(0, 1),)
+    assert non_dominated_pairs(Fraction(1, 10), 3) == (MmsPair(0, 1),)
 
 
 def test_filtration_trace_worked_example():
@@ -88,8 +88,7 @@ def test_filtration_trace_worked_example():
 @settings(max_examples=200, deadline=None)
 @given(entitlements, st.integers(1, 12))
 def test_pair_set_invariants(a, m):
-    result = non_dominated_pairs(a, m)
-    survivors = result.pairs
+    survivors = non_dominated_pairs(a, m)
     assert survivors, "at least one condition always survives"
     assert list(survivors) == sorted(survivors, key=lambda p: p.d)
     for p in survivors:
@@ -104,7 +103,7 @@ def test_pair_set_invariants(a, m):
 @settings(max_examples=200, deadline=None)
 @given(entitlements, st.integers(1, 12))
 def test_every_candidate_covered(a, m):
-    survivors = set(non_dominated_pairs(a, m).pairs)
+    survivors = set(non_dominated_pairs(a, m))
     for candidate in candidate_pairs(a, m):
         assert candidate in survivors or any(
             dominates(s, candidate) for s in survivors
@@ -115,7 +114,7 @@ def test_every_candidate_covered(a, m):
 @given(entitlements, st.integers(1, 12))
 def test_trace_replays_to_survivors(a, m):
     candidates = candidate_pairs(a, m)
-    survivors = non_dominated_pairs(a, m).pairs
+    survivors = non_dominated_pairs(a, m)
     removed = [step.removed for step in filtration_trace(a, m)]
     assert [p for p in candidates if p not in removed] == list(survivors)
     for step in filtration_trace(a, m):
@@ -133,7 +132,7 @@ def test_enumeration_deterministic(a, m):
 def test_zero_pairs_filtered_when_positive_candidate_exists():
     # Any candidate with l >= 1 dominates every (0, d).
     for a, m in [(Fraction(74, 100), 7), (Fraction(1, 2), 4), (Fraction(2, 5), 5)]:
-        survivors = non_dominated_pairs(a, m).pairs
+        survivors = non_dominated_pairs(a, m)
         if any(p.l >= 1 for p in candidate_pairs(a, m)):
             assert all(p.l >= 1 for p in survivors)
 
@@ -192,7 +191,7 @@ def _oracle_filtration(a, m):
 
 def _assert_matches_oracle(a, m):
     survivors, trace = _oracle_filtration(a, m)
-    assert non_dominated_pairs(a, m).pairs == survivors
+    assert non_dominated_pairs(a, m) == survivors
     assert filtration_trace(a, m) == trace
 
 
@@ -220,7 +219,7 @@ def test_attribute_raises_when_no_survivor_dominates():
        st.integers(1, 300))
 def test_survivors_strictly_increase_in_d_minus_l(pq, m):
     # The invariant that lets a new survivor remove only the last kept pair.
-    gaps = [p.d - p.l for p in non_dominated_pairs(Fraction(*pq), m).pairs]
+    gaps = [p.d - p.l for p in non_dominated_pairs(Fraction(*pq), m)]
     assert all(x < y for x, y in zip(gaps, gaps[1:]))
 
 
@@ -235,7 +234,7 @@ def test_filtration_dominance_call_count(monkeypatch):
         return dominates(p, p_prime)
 
     monkeypatch.setattr(pairs, "dominates", counting)
-    assert len(non_dominated_pairs(Fraction(137, 262), 2000).pairs) == 575
+    assert len(non_dominated_pairs(Fraction(137, 262), 2000)) == 575
     assert calls <= 311_339
 
 
@@ -271,7 +270,7 @@ def test_filtration_matches_stack_oracle_for_small_denominators():
     for a in sorted(fractions):
         cands = candidate_pairs(a, 300)
         survivors = _stack_survivors(cands)
-        assert non_dominated_pairs(a, 300).pairs == tuple(survivors), a
+        assert non_dominated_pairs(a, 300) == tuple(survivors), a
         kept = set(survivors)
         removed = [p for p in cands if p not in kept]
         bys = [_scan_attribute(p, survivors) for p in removed]
@@ -302,4 +301,4 @@ def test_trace_dominance_call_count(monkeypatch):
 
     monkeypatch.setattr(pairs, "dominates", counting)
     assert len(filtration_trace(Fraction(137, 262), 2000)) == 1425
-    assert calls <= 6_646
+    assert calls <= 6_645

@@ -137,7 +137,7 @@ def reference_row(instance, t):
     best, _ = weighted_maximin_partition(instance, t.entitlements)
     omms_max, wmms, bmms = [], [], []
     for t_i in t:
-        pairs = non_dominated_pairs(t_i, m).pairs if m else ()
+        pairs = non_dominated_pairs(t_i, m) if m else ()
         omms_max.append(max((mms(instance, p).value for p in pairs), default=0))
         wmms.append(t_i * best)
         bmms.append(bmms_value(instance, t_i))
