@@ -54,10 +54,6 @@ def _limits(inputs: dict) -> SearchLimits:
     )
 
 
-def _instance(inputs: dict) -> Instance:
-    return Instance(tuple(inputs["items"]))
-
-
 def execute(command: str, inputs: dict) -> tuple[int, dict]:
     """Pure dispatch from JSON-able inputs to (exit code, JSON-able outputs)."""
     if command not in COMMANDS:
@@ -67,7 +63,7 @@ def execute(command: str, inputs: dict) -> tuple[int, dict]:
 
 
 def _exec_mms(inputs: dict) -> tuple[int, dict]:
-    instance = _instance(inputs)
+    instance = Instance(tuple(inputs["items"]))
     pair = MmsPair.parse(inputs["pair"])
     result = mms(instance, pair, _limits(inputs))
     canonical = canonicalize(instance)
@@ -126,7 +122,7 @@ def _exec_pairs(inputs: dict) -> tuple[int, dict]:
 
 
 def _exec_audit(inputs: dict) -> tuple[int, dict]:
-    instance = _instance(inputs)
+    instance = Instance(tuple(inputs["items"]))
     t = EntitlementVector(tuple(parse_rational(s) for s in inputs["entitlements"]))
     alloc = Allocation.from_lists(inputs["allocation"])
     criteria = list(inputs.get("criteria") or CRITERIA)

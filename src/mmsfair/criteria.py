@@ -23,7 +23,9 @@ entitlements over a common denominator W, so w_j = t_j*W are integers;
 with L = lcm(w) and c_j = L // w_j, each ratio s/t_j is s*c_j * W/L, and
 the search compares the integer keys s*c_j, building one Fraction at the
 end. It is `engine._search` at l = 1 with scale c_j, parts of equal
-entitlement opened in order; `engine` states its rules. BMMS bisects the
+entitlement opened in order. `engine` states its rules and its two routes:
+`weighted_maximin_partition` takes the lex-first one, the shares and WMMS
+of `agent_shares` and `wmms_value` the value-only one. BMMS bisects the
 sorted subset sums for t_i*T and scores the two on either side of it.
 """
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .core import (
     PartitionAssignment,
     Value,
 )
-from .engine import DEFAULT_LIMITS, SearchLimits, _search, mms
+from .engine import DEFAULT_LIMITS, SearchLimits, _search, _share
 from .pairs import non_dominated_pairs
 
 #: The criterion names, in report order.
@@ -71,7 +73,7 @@ class ShareTables:
         # Keyed by (l, d): an MmsPair hashes in Python, a tuple in C.
         shares, key = self.of(instance).shares, (p.l, p.d)
         if key not in shares:
-            shares[key] = mms(instance, p, limits).value
+            shares[key] = _share(instance, p, limits, False)[0]
         return shares[key]
 
 
@@ -107,6 +109,13 @@ def weighted_maximin_partition(
     those groups and nowhere else. The assignment refers to canonical
     (non-increasing) item order and is deterministic.
     """
+    return _weighted(instance, entitlements, limits, True)
+
+
+def _weighted(
+    instance: Instance, entitlements: Sequence[Fraction], limits: SearchLimits,
+    lex_first: bool,
+) -> tuple[Fraction, PartitionAssignment]:
     n = len(entitlements)
     if n < 1:
         raise ValueError("at least one agent is required")
@@ -120,7 +129,7 @@ def weighted_maximin_partition(
     weights = [t.numerator * (den // t.denominator) for t in entitlements]
     top = lcm(*weights)
     scale = [top // w for w in weights]
-    best_key, witness = _search(instance.items, 1, scale)
+    best_key, witness = _search(instance.items, 1, scale, lex_first)
     return Fraction(best_key * den, top), witness
 
 
@@ -134,7 +143,7 @@ def wmms_value(
     min_j V(part_j) / t_j."""
     if not 0 <= i < len(t):
         raise ValueError(f"agent index {i} outside 0..{len(t) - 1}")
-    best, _ = weighted_maximin_partition(instance, t.entitlements, limits)
+    best, _ = _weighted(instance, t.entitlements, limits, False)
     return t[i] * best
 
 
@@ -195,7 +204,7 @@ def agent_shares(
     if len(groups) == 1:
         best_ratio = len(t) * tables.share(instance, MmsPair(1, len(t)), limits)
     else:
-        best_ratio, _ = weighted_maximin_partition(instance, t.entitlements, limits)
+        best_ratio, _ = _weighted(instance, t.entitlements, limits, False)
     for key, a in groups.items():
         groups[key] = (omms_requirements(instance, a, limits, tables), a * best_ratio,
                        bmms_value(instance, a, limits, tables))

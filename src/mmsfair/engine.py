@@ -8,39 +8,43 @@ scale; WMMS has l = 1 and scale c_j; l > 1 comes with unit scale only.
 Parts of one scale are interchangeable, so part j opens only once its twin,
 the previous part of the same scale, is in use: the part before at unit
 scale, the previous agent of equal entitlement in WMMS. The search walks the
-assignments depth first in lex order and keeps strict improvements only,
-so its witness is the lex-first optimum, which no rule cuts. It starts one
-below the greedy partition (each item, largest first, to the part with the
-least key) and stops at the root bound l*T*C // sum(C // scale[j]),
-C = lcm(scale). At unit scale the root is the least count cap over
-j = l..d: the j parts with the fewest items hold at most C_j = q*j -
-min(j, q*d - m) of the m items (q = ceil(m/d)), so the l smallest part
-sums are at most the l-out-of-j share of the C_j largest items, at most
-l/j of their sum and, when C_j <= j (one item per part), the sum of items
-j-l .. C_j-1. Zeros go to part 0 outside the search. An item equal to its
-predecessor never goes to an earlier part (swapping equal items keeps the
-part sums and lowers the vector). At l > 1 an upper bound cuts subtrees
-that cannot beat the incumbent. With b the smallest item and r items left,
-every completion ends at part sums s_j + n_j*b + x_j, integers n_j >= 0
-summing to r and x_j >= 0 summing to E = rest - r*b. The bound puts each of
-the r units of b on the then smallest part and pours E fractionally onto the
-smallest parts (water-filling). The poured sum of the l smallest is
-symmetric and concave in the part sums, so Schur-concave, and the greedy
-placement is majorized by every other: no completion beats it. At E >= d*b
-the pour covers every part that took a unit (each lies within b of the
-smallest part), so it equals pouring all of rest; units are placed only
-below that. At l = 1 beating best puts every key at best + 1 or more, so
-each part needs its own items up to its floor ceil((best + 1) / scale[j]):
-the shortfalls must fit in the remaining value, and the fewest of the
-largest remaining items that cover each must fit in the remaining count
-(this cuts all that water-filling would). The last item is placed in closed
-form, after one cut for every l: no key rises by more than v*lcm(scale) or
-past the l+1-th smallest. The witness is re-checked on every call.
-`mms_cardinality` is the closed form for identical unit items.
+assignments depth first in lex order, keeps strict improvements only and
+stops at the root bound l*T*C // sum(C // scale[j]), C = lcm(scale). The
+lex-first route (`mms`, `weighted_maximin_partition`) starts one below the
+greedy partition (each item, largest first, to the part with the least
+key), so its witness is the lex-first optimum, which no rule cuts. The
+value-only route (`audit`, `scan`, `wmms_value`) starts at the greedy
+partition, its witness until beaten, and searches only if that is below the
+root bound. At unit scale the root is the least count cap over j = l..d:
+the j parts with the fewest items hold at most C_j = q*j - min(j, q*d - m)
+of the m items (q = ceil(m/d)), so the l smallest part sums are at most the
+l-out-of-j share of the C_j largest items, at most l/j of their sum and,
+when C_j <= j (one item per part), the sum of items j-l .. C_j-1. Zeros go
+to part 0 outside the search. An item equal to its predecessor never goes
+to an earlier part (swapping equal items keeps the part sums and lowers the
+vector). At l > 1 an upper bound cuts subtrees that cannot beat the
+incumbent. With b the smallest item and r items left, every completion ends
+at part sums s_j + n_j*b + x_j, integers n_j >= 0 summing to r and x_j >= 0
+summing to E = rest - r*b. The bound puts each of the r units of b on the
+then smallest part and pours E fractionally onto the smallest parts
+(water-filling). The poured sum of the l smallest is symmetric and concave
+in the part sums, so Schur-concave, and the greedy placement is majorized
+by every other: no completion beats it. At E >= d*b the pour covers every
+part that took a unit (each lies within b of the smallest part), so it
+equals pouring all of rest; units are placed only below that. At l = 1
+beating best puts every key at best + 1 or more, so each part needs its own
+items up to its floor ceil((best + 1) / scale[j]): the shortfalls must fit
+in the remaining value, and the fewest of the largest remaining items that
+cover each must fit in the remaining count (this cuts all that
+water-filling would). The last item is placed in closed form, after one cut
+for every l: no key rises by more than v*lcm(scale) or past the l+1-th
+smallest. The witness is re-checked on every call. `mms_cardinality` is the
+closed form for identical unit items.
 """
 from __future__ import annotations
 
 import itertools
+import sys
 from bisect import bisect_left
 from heapq import heapreplace
 from dataclasses import dataclass
@@ -74,6 +78,7 @@ class SearchLimits:
 
 
 DEFAULT_LIMITS = SearchLimits()
+_TOO_DEEP = "instance too large for exact search: {} items exceed its recursion depth"
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,13 +101,17 @@ def min_l_union(part_sums: Sequence[Value], l: int) -> Value:
     return sum(sorted(part_sums)[:l])
 
 
-def _greedy_start(items: Sequence[Value], l: int, scale: Sequence[int]) -> Value:
+def _greedy_start(
+    items: Sequence[Value], l: int, scale: Sequence[int], where: list[int]
+) -> Value:
     # Each item, largest first, to the part with the least key (the first of
-    # equals): a feasible partition, so its l smallest keys are a lower bound.
+    # equals), item i to part where[i]: a feasible partition, so its l
+    # smallest keys are a lower bound.
     keys = [0] * len(scale)
-    for v in items:
+    for i, v in enumerate(items):
         j = keys.index(min(keys))
         keys[j] += v * scale[j]
+        where[i] = j
     return sum(sorted(keys)[:l])
 
 
@@ -146,17 +155,20 @@ def _upper_bound(
 
 
 def _search(
-    items: Sequence[Value], l: int, scale: Sequence[int]
+    items: Sequence[Value], l: int, scale: Sequence[int], lex_first: bool
 ) -> tuple[Value, PartitionAssignment]:
     # The search of the module docstring: the best sum of the l smallest keys
-    # and the lex-first assignment over the canonical (non-increasing) item
-    # order that reaches it. l > 1 needs unit scale: part sums are keys there.
+    # and an assignment over the canonical (non-increasing) item order that
+    # reaches it. l > 1 needs unit scale: part sums are keys there.
     d = len(scale)
     canonical = sorted(items, reverse=True)
     m = len(canonical) - canonical.count(0)
     zeros = (0,) * (len(canonical) - m)
-    if m == 0:
-        return 0, PartitionAssignment(zeros, d)
+    if m == 0 or l == 0:  # no item, or the empty union: all to part 0
+        return 0, PartitionAssignment((0,) * len(canonical), d)
+    # dfs recurses once per nonzero item; 100 frames are left to the callers.
+    if m > sys.getrecursionlimit() - 100:
+        raise InstanceTooLargeError(_TOO_DEEP.format(m))
     items = canonical[:m]
     # prefix[k] is the sum of the k largest items, so items i.. hold
     # total - prefix[i], and the fewest of them whose sum reaches x are
@@ -166,83 +178,84 @@ def _search(
     top = lcm(*scale)
     root = (_count_cap(prefix, l, d) if top == 1
             else l * total * top // sum(top // c for c in scale))
-    best = _greedy_start(items, l, scale) - 1
-    best_assign = None
-    # At l = 1, beating best needs every key above best, so every part needs
-    # a part sum of floors[j] = ceil((best + 1) / scale[j]) or more.
-    floors = [-(-(best + 1) // c) for c in scale]
-    # twin_before[j]: the previous part with the same scale (-1 if none).
-    twin_before, previous = [], {}
-    for j, c in enumerate(scale):
-        twin_before.append(previous.get(c, -1))
-        previous[c] = j
-    sums = [0] * d
     assign = [0] * m
-    last = m - 1
-    small = items[last]
+    best = _greedy_start(items, l, scale, assign)
+    # The lex-first route starts one below, with no witness until beaten.
+    best, best_assign = (best - 1, None) if lex_first else (best, tuple(assign))
+    # Greedy == root proves the value-only route's witness optimal.
+    if best < root:
+        # At l = 1, beating best needs every key above best, so every part needs
+        # a part sum of floors[j] = ceil((best + 1) / scale[j]) or more.
+        floors = [-(-(best + 1) // c) for c in scale]
+        # twin_before[j]: the previous part with the same scale (-1 if none).
+        twin_before, previous = [], {}
+        for j, c in enumerate(scale):
+            twin_before.append(previous.get(c, -1))
+            previous[c] = j
+        sums = [0] * d
+        last = m - 1
+        small = items[last]
 
-    def dfs(i: int) -> bool:
-        # Returns True once the incumbent meets the root bound.
-        nonlocal best, best_assign
-        v = items[i]
-        if l > 1:
-            # The scale is 1 here, so the part sums are the keys.
-            if i < last and _upper_bound(
-                sorted(sums), total - prefix[i], l, d, m - i, small
-            ) <= best:
-                return False
-        else:
-            base = prefix[i]
-            need = count = 0
-            for short in map(sub, floors, sums):
-                if short > 0:
-                    need += short
-                    count += bisect_left(prefix, base + short, i) - i
-            if need > total - base or count > m - i:
-                return False
-        first = assign[i - 1] if i and v == items[i - 1] else 0
-        if i == last:
-            # Adding g to a key s below the ceiling (the l+1-th smallest key;
-            # none when l == d) raises the l smallest by min(g, ceiling - s).
-            keys = sums if top == 1 else list(map(mul, sums, scale))
-            asc = sorted(keys)
-            base = sum(asc[:l])
-            ceiling = asc[l] if l < d else asc[-1] + v * top
-            # No key rises by more than v*top, nor past the ceiling.
-            if base + min(v * top, ceiling - asc[0]) <= best:
-                return False
-            # No twin check: an empty twin scores the same, lex-earlier, and only gains count.
+        def dfs(i: int) -> bool:
+            # Returns True once the incumbent meets the root bound.
+            nonlocal best, best_assign
+            v = items[i]
+            if l > 1:
+                # The scale is 1 here, so the part sums are the keys.
+                if i < last and _upper_bound(
+                    sorted(sums), total - prefix[i], l, d, m - i, small
+                ) <= best:
+                    return False
+            else:
+                base = prefix[i]
+                need = count = 0
+                for short in map(sub, floors, sums):
+                    if short > 0:
+                        need += short
+                        count += bisect_left(prefix, base + short, i) - i
+                if need > total - base or count > m - i:
+                    return False
+            first = assign[i - 1] if i and v == items[i - 1] else 0
+            if i == last:
+                # Adding g to a key s below the ceiling (the l+1-th smallest key;
+                # none when l == d) raises the l smallest by min(g, ceiling - s).
+                keys = sums if top == 1 else list(map(mul, sums, scale))
+                asc = sorted(keys)
+                base = sum(asc[:l])
+                ceiling = asc[l] if l < d else asc[-1] + v * top
+                # No key rises by more than v*top, nor past the ceiling.
+                if base + min(v * top, ceiling - asc[0]) <= best:
+                    return False
+                # No twin check: an empty twin's lex-earlier twin scores the same.
+                for k in range(first, d):
+                    s = keys[k]
+                    gain = min(v * scale[k], ceiling - s)
+                    value = base + gain if gain > 0 else base
+                    if value > best:
+                        best = value
+                        assign[i] = k
+                        best_assign = tuple(assign)
+                        for j, c in enumerate(scale):
+                            floors[j] = -(-(best + 1) // c)
+                return best == root
             for k in range(first, d):
-                s = keys[k]
-                gain = min(v * scale[k], ceiling - s)
-                value = base + gain if gain > 0 else base
-                if value > best:
-                    best = value
-                    assign[i] = k
-                    best_assign = tuple(assign)
-                    for j, c in enumerate(scale):
-                        floors[j] = -(-(best + 1) // c)
-            return best == root
-        for k in range(first, d):
-            s = sums[k]
-            # An unused part opens only once its previous twin is in use.
-            if not s and twin_before[k] >= 0 and not sums[twin_before[k]]:
-                continue
-            sums[k] = s + v
-            assign[i] = k
-            if dfs(i + 1):
-                return True
-            sums[k] = s
-        return False
+                s = sums[k]
+                # An unused part opens only once its previous twin is in use.
+                if not s and twin_before[k] >= 0 and not sums[twin_before[k]]:
+                    continue
+                sums[k] = s + v
+                assign[i] = k
+                if dfs(i + 1):
+                    return True
+                sums[k] = s
+            return False
 
-    try:
-        dfs(0)
-    except RecursionError:  # dfs recurses once per nonzero item
-        raise InstanceTooLargeError(
-            f"instance too large for exact search: {m} items exceed its recursion depth"
-        ) from None
+        try:
+            dfs(0)
+        except RecursionError:  # a caller deeper than the margin above
+            raise InstanceTooLargeError(_TOO_DEEP.format(m)) from None
     # Raised explicitly, not asserted, so that `python -O` keeps the check.
-    # The optimum beats the greedy start, so no witness at all is a fault.
+    # The lex-first optimum beats its start, so no witness at all is a fault.
     witness = None if best_assign is None else PartitionAssignment(best_assign + zeros, d)
     if witness is None or min_l_union(
         list(map(mul, witness.part_sums(canonical), scale)), l
@@ -261,11 +274,15 @@ def mms(
     order of first use. Raises InstanceTooLargeError beyond `limits`,
     except for l == 0, which needs no search.
     """
-    m, l, d = len(instance.items), pair.l, pair.d
-    if l == 0:  # the empty union: no search, so nothing to refuse
-        return MmsResult(0, PartitionAssignment((0,) * m, d))
-    limits.check(m, d)
-    return MmsResult(*_search(instance.items, l, (1,) * d))
+    return MmsResult(*_share(instance, pair, limits, True))
+
+
+def _share(
+    instance: Instance, pair: MmsPair, limits: SearchLimits, lex_first: bool
+) -> tuple[Value, PartitionAssignment]:
+    if pair.l:  # l = 0 is the empty union: no search, so nothing to refuse
+        limits.check(len(instance.items), pair.d)
+    return _search(instance.items, pair.l, (1,) * pair.d, lex_first)
 
 
 def mms_cardinality(m: int, pair: MmsPair) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Sequence
 
@@ -32,10 +32,12 @@ class ScanRow:
     omms_stronger: tuple[int, ...]
     bmms_below_wmms: tuple[int, ...]
     bmms_below_omms: tuple[int, ...]
+    # Set once per row, from integer pairs: a Fraction is in lowest terms.
+    equal_entitlements: bool = field(init=False)
 
-    @property
-    def equal_entitlements(self) -> bool:
-        return self.entitlements.count(self.entitlements[0]) == len(self.entitlements)
+    def __post_init__(self) -> None:
+        pairs = {(t.numerator, t.denominator) for t in self.entitlements}
+        object.__setattr__(self, "equal_entitlements", len(pairs) == 1)
 
     @property
     def omms_wmms_coincide(self) -> bool:

@@ -477,7 +477,7 @@ def test_equal_entitlements_match_the_one_out_of_d_share(values, d):
 
 
 def test_weighted_search_raises_when_start_is_never_beaten(monkeypatch):
-    monkeypatch.setattr(engine, "_greedy_start", lambda items, l, scale: 10**9)
+    monkeypatch.setattr(engine, "_greedy_start", lambda items, l, scale, where: 10**9)
     with pytest.raises(AssertionError, match="witness None"):
         weighted_maximin_partition(INTRO, normalized(1, 1))
 
@@ -486,6 +486,21 @@ def test_weighted_search_raises_when_witness_misses_ratio(monkeypatch):
     monkeypatch.setattr(PartitionAssignment, "part_sums", lambda self, items: [0] * self.d)
     with pytest.raises(AssertionError, match="does not reach"):
         weighted_maximin_partition(INTRO, normalized(1, 1))
+
+
+@pytest.mark.parametrize(
+    "instance, t",
+    [(INTRO, normalized(1, 2)), (Instance((10,) * 4), normalized(1, 1))],
+)
+def test_value_only_witness_is_rechecked(monkeypatch, instance, t):
+    # The value-only shares and WMMS re-check their witness as well: after a
+    # search (INTRO at 1/3, 2/3) and when the greedy partition meets the
+    # root bound and no search runs (four equal items at 1/2, 1/2).
+    monkeypatch.setattr(PartitionAssignment, "part_sums", lambda self, items: [0] * self.d)
+    with pytest.raises(AssertionError, match="does not reach"):
+        wmms_value(instance, EntitlementVector(tuple(t)), 0)
+    with pytest.raises(AssertionError, match="does not reach"):
+        omms_requirements(instance, t[0])
 
 
 def subset_sum_scan(values, t_i):
@@ -539,7 +554,7 @@ def test_agent_shares_computes_each_share_once(monkeypatch):
         )
         for i, t_i in enumerate(t)
     ]
-    calls = {"mms": [], "non_dominated_pairs": [], "bmms_value": []}
+    calls = {"_share": [], "non_dominated_pairs": [], "bmms_value": []}
 
     def counted(name, key):
         # Records argument `key` of each call: the pair or the entitlement.
@@ -551,14 +566,15 @@ def test_agent_shares_computes_each_share_once(monkeypatch):
 
         return wrapper
 
-    for name, key in (("mms", 1), ("non_dominated_pairs", 0), ("bmms_value", 1)):
+    # `_share` is the value-only share behind the share table.
+    for name, key in (("_share", 1), ("non_dominated_pairs", 0), ("bmms_value", 1)):
         monkeypatch.setattr(criteria, name, counted(name, key))
     assert agent_shares(instance, t) == expected
     distinct = [Fraction(2, 9), Fraction(1, 5), Fraction(16, 45)]
     assert calls["non_dominated_pairs"] == distinct
     assert calls["bmms_value"] == distinct
-    assert len(calls["mms"]) == len(set(calls["mms"]))
-    assert set(calls["mms"]) == {p for reqs, _, _ in expected for p, _ in reqs}
+    assert len(calls["_share"]) == len(set(calls["_share"]))
+    assert set(calls["_share"]) == {p for reqs, _, _ in expected for p, _ in reqs}
 
 
 def test_agent_shares_first_refusal_is_unchanged():

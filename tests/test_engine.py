@@ -1,5 +1,8 @@
 import itertools
+import math
+import operator
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -95,7 +98,7 @@ def test_mms_raises_when_witness_misses_value(monkeypatch):
 def test_mms_raises_when_start_is_never_beaten(monkeypatch):
     # No leaf beats a greedy start above the optimum, so there is no witness:
     # a search fault, raised as such rather than as a bad-input ValueError.
-    monkeypatch.setattr(engine, "_greedy_start", lambda items, l, scale: 10**9)
+    monkeypatch.setattr(engine, "_greedy_start", lambda items, l, scale, where: 10**9)
     with pytest.raises(AssertionError, match="witness None"):
         mms(INTRO, MmsPair(1, 3))
 
@@ -491,6 +494,56 @@ def test_search_strength_is_pinned_by_count_caps(dfs_calls, values, pair, nodes)
     assert dfs_calls(mms, bound, Instance(values), pair) <= bound
 
 
+def _spread(k, seed):
+    # The hunt's 16 items 10**6 + randrange(K + 1), seeded by 1000*K + seed.
+    rng = random.Random(1000 * k + seed)
+    return Instance(tuple(10**6 + rng.randrange(k + 1) for _ in range(16)))
+
+
+@pytest.mark.parametrize(
+    "instance, pair, value",
+    [
+        (_spread(10**6, 0), MmsPair(2, 9), 3_794_352),
+        (_spread(10**6, 1), MmsPair(2, 9), 3_910_588),
+        (_spread(50, 0), MmsPair(2, 10), 2_000_075),
+    ],
+)
+def test_value_only_share_takes_no_node_when_greedy_meets_the_root(
+    dfs_calls, instance, pair, value
+):
+    # The count cap proves the greedy partition optimal here, so the
+    # value-only share runs no search. For its lex-first witness `mms` takes
+    # 546,279, 682,203 and 766,360 nodes on the same items.
+    args = (instance, pair, SearchLimits(), False)
+    assert engine._share(*args)[0] == value
+    assert dfs_calls(engine._share, 0, *args) == 0
+
+
+def _mixed_values(rng, m):
+    # Small values with zeros and ties, or near-equal values with zeros.
+    if rng.random() < 0.5:
+        return [rng.choice([0, 0, 1, 2, 3, 3, 5, 8, 13]) for _ in range(m)]
+    return [rng.choice([0, 10**6 + rng.randrange(51)]) for _ in range(m)]
+
+
+def test_value_only_route_matches_the_lex_first_values():
+    # 6,000 seeded searches on 0-10 items, at unit scale for every
+    # 1 <= l <= d <= 6 and at WMMS scales (l = 1, c_j = lcm(w) // w_j).
+    rng = random.Random(18)
+    for _ in range(6000):
+        values = _mixed_values(rng, rng.randint(0, 10))
+        d = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            l, scale = rng.randint(1, d), (1,) * d
+        else:
+            weights = [rng.randint(1, 4) for _ in range(d)]
+            l, scale = 1, tuple(math.lcm(*weights) // w for w in weights)
+        value, witness = engine._search(values, l, scale, False)
+        assert value == engine._search(values, l, scale, True)[0], (values, l, scale)
+        keys = map(operator.mul, witness.part_sums(sorted(values, reverse=True)), scale)
+        assert min_l_union(list(keys), l) == value
+
+
 def _prefix(values):
     return [0, *itertools.accumulate(sorted((v for v in values if v), reverse=True))]
 
@@ -572,3 +625,18 @@ def test_mms_refuses_past_recursion_depth():
     # recursion limit, which must end in a refusal, not a RecursionError.
     with pytest.raises(InstanceTooLargeError, match="3000 items exceed"):
         mms(Instance((1,) * 3000), MmsPair(1, 2), SearchLimits(max_items=5000))
+
+
+@pytest.mark.parametrize("lex_first", [True, False])
+def test_both_routes_refuse_past_the_depth_guard(lex_first):
+    # The guard admits the recursion limit less 100 nonzero items (900 at
+    # Python's default), also where the value-only route would not recurse.
+    cap = sys.getrecursionlimit() - 100
+    raised = SearchLimits(max_items=5000)
+
+    def share(instance):
+        return engine._share(instance, MmsPair(1, 2), raised, lex_first)[0]
+
+    assert share(Instance((1,) * cap)) == cap // 2
+    with pytest.raises(InstanceTooLargeError, match=f"{cap + 1} items exceed"):
+        share(Instance((1,) * (cap + 1) + (0,) * 9))  # zeros do not count

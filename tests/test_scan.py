@@ -118,13 +118,13 @@ def test_scan_computes_each_share_once_per_instance(monkeypatch):
     grid = [T_40_60, T_SKEW]
     expected = notion_separation_scan(3, [0, 1, 40, 60], grid)
     calls = []
-    real = criteria.mms
+    real = criteria._share  # the value-only share behind the share table
 
-    def counted(instance, pair, limits):
+    def counted(instance, pair, limits, lex_first):
         calls.append((instance.items, pair))
-        return real(instance, pair, limits)
+        return real(instance, pair, limits, lex_first)
 
-    monkeypatch.setattr(criteria, "mms", counted)
+    monkeypatch.setattr(criteria, "_share", counted)
     assert notion_separation_scan(3, [0, 1, 40, 60], grid) == expected
     assert calls and len(calls) == len(set(calls))
 
@@ -185,7 +185,8 @@ def test_scan_rows_match_a_row_by_row_reference(max_items, grid, grid_vectors):
 def test_scan_computes_pair_sets_subset_sums_and_tied_shares_once(monkeypatch):
     grid = [T_40_60, T_SKEW, tied(2), tied(3), T_74_26]
     expected = notion_separation_scan(3, [0, 1, 40, 60], grid)
-    calls = {"non_dominated_pairs": [], "_subset_sums": [], "weighted_maximin_partition": []}
+    # `_weighted` is the value-only weighted search.
+    calls = {"non_dominated_pairs": [], "_subset_sums": [], "_weighted": []}
 
     def counted(name):
         real = getattr(criteria, name)
@@ -206,6 +207,6 @@ def test_scan_computes_pair_sets_subset_sums_and_tied_shares_once(monkeypatch):
     assert len(pair_sets) == len(set(pair_sets))
     assert set(pair_sets) == {(t_i, m) for t in grid for t_i in t for m in (1, 2, 3)}
     assert sorted(items for items, in calls["_subset_sums"]) == sorted(instances)
-    searched = [entitlements for _, entitlements, _ in calls["weighted_maximin_partition"]]
+    searched = [entitlements for _, entitlements, _, _ in calls["_weighted"]]
     assert len(searched) == 3 * len(instances)
     assert all(len(set(entitlements)) > 1 for entitlements in searched)
