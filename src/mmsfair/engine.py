@@ -9,17 +9,21 @@ Parts of one scale are interchangeable, so part j opens only once its twin,
 the previous part of the same scale, is in use: the part before at unit
 scale, the previous agent of equal entitlement in WMMS. The search walks the
 assignments depth first in lex order, keeps strict improvements only and
-stops at the root bound l*T*C // sum(C // scale[j]), C = lcm(scale). The
-lex-first route (`mms`, `weighted_maximin_partition`) starts one below the
-greedy partition (each item, largest first, to the part with the least
-key), so its witness is the lex-first optimum, which no rule cuts. The
-value-only route (`audit`, `scan`, `wmms_value`) starts at the greedy
-partition, its witness until beaten, and searches only if that is below the
-root bound. At unit scale the root is the least count cap over j = l..d:
-the j parts with the fewest items hold at most C_j = q*j - min(j, q*d - m)
-of the m items (q = ceil(m/d)), so the l smallest part sums are at most the
-l-out-of-j share of the C_j largest items, at most l/j of their sum and,
-when C_j <= j (one item per part), the sum of items j-l .. C_j-1. Zeros go
+stops at the root bound l*T*C // sum(C // scale[j]), C = lcm(scale). At
+unit scale the root is the least count cap over j = l..d: the j parts with
+the fewest items hold at most C_j = q*j - min(j, q*d - m) of the m items
+(q = ceil(m/d)), so the l smallest part sums are at most the l-out-of-j
+share of the C_j largest items, at most l/j of their sum and, when
+C_j <= j (one item per part), the sum of items j-l .. C_j-1: at j = d with
+m <= d, the exact share, which needs no search. The start is the better of
+the greedy partition (each item, largest first, to the part with the least
+key) and, at unit scale with a binding j < d, the cap's partition (the C_j
+largest items greedily into parts 0..j-1, the rest into parts j..). The
+lex-first route (`mms`, `weighted_maximin_partition`) starts one below it:
+any start is at most the optimum, so its witness stays the lex-first
+optimum, which no rule cuts. The value-only route (`audit`, `scan`,
+`wmms_value`) keeps the start as its witness until beaten, and searches
+only if that is below the root bound, which would prove it optimal. Zeros go
 to part 0 outside the search. An item equal to its predecessor never goes
 to an earlier part (swapping equal items keeps the part sums and lowers the
 vector). At l > 1 an upper bound cuts subtrees that cannot beat the
@@ -102,31 +106,36 @@ def min_l_union(part_sums: Sequence[Value], l: int) -> Value:
 
 
 def _greedy_start(
-    items: Sequence[Value], l: int, scale: Sequence[int], where: list[int]
+    items: Sequence[Value], l: int, scale: Sequence[int], where: list[int], j=0, c=0
 ) -> Value:
     # Each item, largest first, to the part with the least key (the first of
     # equals), item i to part where[i]: a feasible partition, so its l
-    # smallest keys are a lower bound.
-    keys = [0] * len(scale)
+    # smallest keys are a lower bound. Given 0 < c < m, items 0..c-1 go to
+    # parts 0..j-1 (head), the rest to parts j..; closed parts top any sum.
+    d, closed = len(scale), sum(items) + 1 if c else 0
+    keys = [0] * j + [closed] * (d - j)
     for i, v in enumerate(items):
-        j = keys.index(min(keys))
-        keys[j] += v * scale[j]
-        where[i] = j
-    return sum(sorted(keys)[:l])
+        if i == c and c:
+            head, keys[:j], keys[j:] = keys[:j], [closed] * j, [0] * (d - j)
+        k = keys.index(min(keys))
+        keys[k] += v * scale[k]
+        where[i] = k
+    return sum(sorted(head + keys[j:] if c else keys)[:l])
 
 
-def _count_cap(prefix: list[Value], l: int, d: int) -> Value:
-    # The module docstring's least count cap over j = l..d, without min()
-    # (it doubles the cost on tiny searches); j = d is l*T//d.
+def _count_cap(prefix: list[Value], l: int, d: int) -> tuple[Value, int, int]:
+    # The module docstring's least count cap over j = l..d and the binding j
+    # and C_j, without min() (it doubles the cost on tiny searches).
     m = len(prefix) - 1
     q = -(-m // d)
     r = q * d - m
-    cap = l * prefix[m] // d
-    for j in range(l, d):
+    cap = prefix[m] + 1  # above every cap
+    for j in range(l, d + 1):
         c = q * j - (j if j < r else r)  # mms_cardinality(m, j/d)
         x = prefix[c] - prefix[j - l if j - l < c else c] if c <= j else l * prefix[c] // j
-        cap = x if x < cap else cap
-    return cap
+        if x < cap:
+            cap, split, count = x, j, c
+    return cap, split, count
 
 
 def _upper_bound(
@@ -176,13 +185,17 @@ def _search(
     prefix = [0, *itertools.accumulate(items)]
     total = prefix[m]
     top = lcm(*scale)
-    root = (_count_cap(prefix, l, d) if top == 1
-            else l * total * top // sum(top // c for c in scale))
+    root, j, c = (_count_cap(prefix, l, d) if top == 1  # WMMS scales: no cap start
+                  else (l * total * top // sum(top // s for s in scale), d, 0))
     assign = [0] * m
     best = _greedy_start(items, l, scale, assign)
+    if best < root and j < d:  # try the cap's partition too
+        split = [0] * m
+        if (start := _greedy_start(items, l, scale, split, j, c)) > best:
+            best, assign = start, split
     # The lex-first route starts one below, with no witness until beaten.
     best, best_assign = (best - 1, None) if lex_first else (best, tuple(assign))
-    # Greedy == root proves the value-only route's witness optimal.
+    # A start at the root proves the value-only route's witness optimal.
     if best < root:
         # At l = 1, beating best needs every key above best, so every part needs
         # a part sum of floors[j] = ceil((best + 1) / scale[j]) or more.

@@ -11,11 +11,14 @@ from __future__ import annotations
 import csv
 import itertools
 import random
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import IO, Sequence
 
-from .core import EntitlementVector, Instance, Value, format_rational
+from .core import EntitlementVector, Instance, InstanceTooLargeError, Value, format_rational
 from .criteria import ShareTables, agent_shares
 from .engine import DEFAULT_LIMITS, SearchLimits
 
@@ -129,16 +132,31 @@ def write_csv_rows(rows: Sequence[dict], out: IO[str]) -> None:
 def _instances(
     max_items: int, value_grid: Sequence[Value], max_instances: int | None, seed: int
 ) -> list[tuple[Value, ...]]:
+    # Multisets by size, each size in combinations_with_replacement order;
+    # a sample draws indices into that listing and unranks only those.
     grid = sorted(set(value_grid), reverse=True)
-    if not grid or max_items < 1:
+    if not grid:
         return []
-    all_multisets: list[tuple[Value, ...]] = []
-    for size in range(1, max_items + 1):
-        all_multisets.extend(itertools.combinations_with_replacement(grid, size))
-    if max_instances is not None and len(all_multisets) > max_instances:
-        rng = random.Random(seed)
-        all_multisets = rng.sample(all_multisets, max_instances)
-    return sorted(all_multisets, key=lambda t: (len(t), t))
+    n, sizes = len(grid), range(1, max_items + 1)
+    counts = [comb(n + size - 1, size) for size in sizes]
+    if max_instances is None or sum(counts) <= max_instances:
+        chosen = itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(grid, size) for size in sizes)
+    elif sum(counts) > sys.maxsize:  # the most `random.sample` can index
+        raise InstanceTooLargeError(f"scan too large to sample: {sum(counts)} multisets")
+    else:
+        chosen, starts = [], [0, *itertools.accumulate(counts)]
+        for rank in random.Random(seed).sample(range(sum(counts)), max_instances):
+            size = bisect_right(starts, rank)
+            rank -= starts[size - 1]
+            multiset, a = [], 0
+            for left in range(size, 0, -1):
+                while rank >= (block := comb(n - a + left - 2, left - 1)):
+                    rank -= block
+                    a += 1
+                multiset.append(grid[a])
+            chosen.append(tuple(multiset))
+    return sorted(chosen, key=lambda t: (len(t), t))
 
 
 def scan_one(

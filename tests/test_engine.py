@@ -483,13 +483,15 @@ def _seeded_spread(seed, m=16):
         (tuple(10**6 + (37 * k) % 51 for k in range(16)), MmsPair(4, 5), 61),
         (_seeded_spread(50_000), MmsPair(4, 5), 47),
         (_seeded_spread(50_001), MmsPair(2, 6), 33_845),
+        (_seeded_spread(1, 13), MmsPair(3, 6), 1_367),
     ],
 )
 def test_search_strength_is_pinned_by_count_caps(dfs_calls, values, pair, nodes):
-    # 16 near-equal items where few items fit in the smallest parts, so the
+    # Near-equal items where few items fit in the smallest parts, so the
     # count cap lowers the root bound to the optimum and the search stops at
-    # the lex-first witness. With the root bound l*T//d alone they take
-    # 737,464, 854,154 and 1,158,563 nodes.
+    # the lex-first witness. With the root bound l*T//d alone the first
+    # three take 737,464, 854,154 and 1,158,563 nodes. The last starts from
+    # the cap's partition; from the greedy partition alone it takes 8,549.
     bound = 4 * nodes
     assert dfs_calls(mms, bound, Instance(values), pair) <= bound
 
@@ -506,14 +508,22 @@ def _spread(k, seed):
         (_spread(10**6, 0), MmsPair(2, 9), 3_794_352),
         (_spread(10**6, 1), MmsPair(2, 9), 3_910_588),
         (_spread(50, 0), MmsPair(2, 10), 2_000_075),
+        (_spread(50, 0), MmsPair(5, 7), 10_000_351),
+        (Instance((60, 31)), MmsPair(2, 3), 31),
+        (Instance((60, 31, 7)), MmsPair(2, 3), 38),
+        (Instance((9, 8, 7, 6)), MmsPair(3, 5), 13),
     ],
 )
-def test_value_only_share_takes_no_node_when_greedy_meets_the_root(
+def test_value_only_share_takes_no_node_when_the_start_meets_the_root(
     dfs_calls, instance, pair, value
 ):
-    # The count cap proves the greedy partition optimal here, so the
-    # value-only share runs no search. For its lex-first witness `mms` takes
-    # 546,279, 682,203 and 766,360 nodes on the same items.
+    # The count cap proves the start optimal here, so the value-only share
+    # runs no search. On the first three the start is the greedy partition,
+    # and for its lex-first witness `mms` takes 546,279, 682,203 and 766,360
+    # nodes on the same items. At 5/7 it is the cap's partition (5,222 nodes
+    # from the greedy one). With at most d items the cap at j = d is the
+    # share itself, the l - (d - m) smallest items (2, 2 and 4 nodes under
+    # the plain l*T//d).
     args = (instance, pair, SearchLimits(), False)
     assert engine._share(*args)[0] == value
     assert dfs_calls(engine._share, 0, *args) == 0
@@ -563,14 +573,14 @@ def test_count_cap_is_sound(case):
     prefix = _prefix(values)
     table = brute_force_mms_table(Instance(tuple(v for v in values if v)), d)
     for l in range(1, d + 1):
-        assert table[l] <= engine._count_cap(prefix, l, d) <= l * prefix[-1] // d
+        assert table[l] <= engine._count_cap(prefix, l, d)[0] <= l * prefix[-1] // d
 
 
 def test_count_cap_is_exact_below_the_root_bound():
     # 6 items into 5 parts: the 4 parts with the fewest items hold at most 4,
     # one each, so the 3 smallest of them hold at most 8 + 7 + 6 = 21 < 39*3//5.
     values = (9, 8, 7, 6, 5, 4)
-    cap = engine._count_cap(_prefix(values), 3, 5)
+    cap = engine._count_cap(_prefix(values), 3, 5)[0]
     assert cap == 21 < 3 * sum(values) // 5
     assert brute_force_mms(Instance(values), MmsPair(3, 5)) == cap
     assert mms(Instance(values), MmsPair(3, 5)).value == cap

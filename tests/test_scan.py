@@ -1,4 +1,6 @@
 import io
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from mmsfair import criteria, scan
-from mmsfair.core import EntitlementVector, Instance
+from mmsfair.core import EntitlementVector, Instance, InstanceTooLargeError
 from mmsfair.criteria import bmms_value, weighted_maximin_partition
 from mmsfair.engine import mms
 from mmsfair.pairs import non_dominated_pairs
@@ -92,6 +94,49 @@ def test_scan_of_an_empty_grid_enumerates_nothing(monkeypatch):
 
     monkeypatch.setattr(scan.itertools, "combinations_with_replacement", enumerated)
     assert notion_separation_scan(10**9, [], [T_40_60]).rows == ()
+
+
+def _listed(max_items, value_grid, max_instances, seed):
+    # Every multiset listed, then sampled: the listing that `_instances`
+    # unranks, kept here as its oracle.
+    grid = sorted(set(value_grid), reverse=True)
+    every = [
+        t for size in range(1, max_items + 1)
+        for t in itertools.combinations_with_replacement(grid, size)
+    ]
+    if max_instances is not None and len(every) > max_instances:
+        every = random.Random(seed).sample(every, max_instances)
+    return sorted(every, key=lambda t: (len(t), t))
+
+
+def test_instances_unrank_the_listing_they_sample_from():
+    grids = [[5], [3, 3, 1], [0, 7, 19, 31, 60], [0, 1, 2, 40, 60], list(range(7))]
+    for grid, max_items in itertools.product(grids, range(5)):
+        for max_instances, seed in itertools.product([None, 0, 1, 5, 12, 60, 300], range(3)):
+            args = (max_items, grid, max_instances, seed)
+            assert scan._instances(*args) == _listed(*args), args
+
+
+def test_instances_of_a_large_grid_are_sampled_without_listing(monkeypatch):
+    # C(40, 10) - 1, about 8.5e8 multisets of up to 30 values out of 10:
+    # listing them first would take minutes and gigabytes, so it fails here.
+    def enumerated(*args):
+        raise AssertionError("listed every multiset to sample 5")
+
+    monkeypatch.setattr(scan.itertools, "combinations_with_replacement", enumerated)
+    chosen = scan._instances(30, range(10), 5, 0)
+    assert len(chosen) == 5 == len(set(chosen))
+    for items in chosen:
+        assert 1 <= len(items) <= 30 and list(items) == sorted(items, reverse=True)
+        assert set(items) <= set(range(10))
+    assert chosen == sorted(chosen, key=lambda t: (len(t), t))
+
+
+def test_instances_refuse_a_grid_too_large_to_sample():
+    # About 1.4e28 multisets of up to 40 values out of 60: more indices than
+    # `random.sample` can draw from, so the scan is refused (exit 3).
+    with pytest.raises(InstanceTooLargeError, match="too large to sample"):
+        scan._instances(40, range(60), 2, 0)
 
 
 def test_report_serialization_round_trip():
