@@ -25,7 +25,7 @@ from .criteria import (
     weighted_maximin_partition,
     wmms_value,
 )
-from .dominance import Decomposition, decompose, dominates, non_dominance_witness
+from .dominance import decompose, dominates, non_dominance_witness
 from .engine import (
     DEFAULT_LIMITS,
     MmsResult,
@@ -43,7 +43,6 @@ __all__ = [
     "AgentAudit",
     "Allocation",
     "DEFAULT_LIMITS",
-    "Decomposition",
     "EntitlementVector",
     "FairnessReport",
     "Instance",

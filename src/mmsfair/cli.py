@@ -81,14 +81,14 @@ def _exec_mms(inputs: dict) -> tuple[int, dict]:
 def _exec_dominates(inputs: dict) -> tuple[int, dict]:
     p = MmsPair.parse(inputs["pair"])
     other = MmsPair.parse(inputs["other"])
-    dec = decompose(p.d, other.d)
+    q, r = decompose(p.d, other.d)
     verdict = dominates(p, other)
     outputs = {
         "pair": str(p),
         "other": str(other),
         "dominates": verdict,
-        "q": dec.q,
-        "r": dec.r,
+        "q": q,
+        "r": r,
         "witness": None,
     }
     if not verdict:
@@ -272,9 +272,8 @@ def _build_pairs_inputs(args: argparse.Namespace) -> dict:
 def _parse_allocation(text: str) -> list[list[int]]:
     bundles = []
     for segment in text.split(";"):
-        tokens = [t for t in segment.replace(",", " ").split() if t]
         try:
-            bundles.append([int(t) for t in tokens])
+            bundles.append([int(t) for t in segment.replace(",", " ").split()])
         except ValueError as exc:
             raise ValueError(f"bad allocation segment {segment!r}") from exc
     return bundles
@@ -293,7 +292,6 @@ def _build_audit_inputs(args: argparse.Namespace) -> dict:
 
 
 def _build_scan_inputs(args: argparse.Namespace) -> dict:
-    value_grid = [t for t in (args.values or "").replace(",", " ").split() if t]
     entitlement_grid = [
         [s.strip() for s in vector.split(",") if s.strip()]
         for vector in (args.entitlements or "").split(";")
@@ -301,7 +299,7 @@ def _build_scan_inputs(args: argparse.Namespace) -> dict:
     ]
     return {
         "max_items": args.max_items_scan,
-        "value_grid": [int(v) for v in value_grid],
+        "value_grid": [int(v) for v in (args.values or "").replace(",", " ").split()],
         "entitlement_grid": entitlement_grid,
         "max_instances": args.max_instances,
         "seed": args.seed,

@@ -6,7 +6,6 @@ precision, or overflows silently.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -20,15 +19,15 @@ class InstanceTooLargeError(Exception):
     """An exact search was refused because it exceeds the configured safety bound."""
 
 
-_TOKEN_SPLIT = re.compile(r"[,\s]+")
-
-
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a decimal string like "0.74" into an exact Fraction."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+    """Parse "p/q" or a decimal string like "0.74" into an exact Fraction;
+    anything but a string, such as the float 0.5, raises."""
+    if isinstance(text, str):
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"not a rational number: {text!r}")
 
 
 def format_rational(f: Fraction) -> str:
@@ -68,9 +67,8 @@ def canonicalize(instance: Instance) -> Instance:
 
 def parse_items(text: str) -> Instance:
     """Parse comma or whitespace separated integers; "" means no items."""
-    tokens = [t for t in _TOKEN_SPLIT.split(text.strip()) if t]
     try:
-        values = tuple(int(t) for t in tokens)
+        values = tuple(int(t) for t in text.replace(",", " ").split())
     except ValueError as exc:
         raise ValueError(f"bad item list: {text!r}") from exc
     return Instance(values)
@@ -95,10 +93,10 @@ class MmsPair:
 
     @classmethod
     def parse(cls, text: str) -> "MmsPair":
-        """Parse the "l/d" command-line form."""
-        left, sep, right = text.strip().partition("/")
-        if not sep:
+        """Parse the "l/d" command-line form; anything but a string raises."""
+        if not isinstance(text, str) or "/" not in text:
             raise ValueError(f"expected 'l/d', got {text!r}")
+        left, _, right = text.strip().partition("/")
         try:
             l, d = int(left), int(right)
         except ValueError as exc:

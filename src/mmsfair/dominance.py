@@ -8,24 +8,16 @@ are a counterexample.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Instance, MmsPair
 
 
-@dataclass(frozen=True, slots=True)
-class Decomposition:
-    """The unique q >= 1, 0 <= r <= d - 1 with d_prime = q * d - r."""
-
-    q: int
-    r: int
-
-
-def decompose(d: int, d_prime: int) -> Decomposition:
+def decompose(d: int, d_prime: int) -> tuple[int, int]:
+    """The pair (q, r) of the unique q >= 1, 0 <= r <= d - 1 with
+    d_prime = q * d - r."""
     if d < 1 or d_prime < 1:
         raise ValueError(f"part counts must be >= 1, got d={d}, d'={d_prime}")
     q = -(-d_prime // d)
-    return Decomposition(q=q, r=q * d - d_prime)
+    return q, q * d - d_prime
 
 
 def dominates(p: MmsPair, p_prime: MmsPair) -> bool:

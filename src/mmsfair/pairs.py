@@ -120,6 +120,6 @@ def filtration_trace(
             by = red if red and red.d < b.d else b
         else:
             by = red or (c if c and c.d > d else None) or _attribute(p, survivors)
-        dec = decompose(by.d, d)
-        trace.append(Removal(removed=p, by=by, q=dec.q, r=dec.r))
+        q, r = decompose(by.d, d)
+        trace.append(Removal(removed=p, by=by, q=q, r=r))
     return trace

@@ -132,30 +132,32 @@ def write_csv_rows(rows: Sequence[dict], out: IO[str]) -> None:
 def _instances(
     max_items: int, value_grid: Sequence[Value], max_instances: int | None, seed: int
 ) -> list[tuple[Value, ...]]:
-    # Multisets by size, each size in combinations_with_replacement order;
-    # a sample draws indices into that listing and unranks only those.
+    # Multisets by size, each size in lexicographic order of the indices of
+    # their values in the descending grid; a full scan unranks every rank in
+    # that listing, a sample only the ranks it draws.
     grid = sorted(set(value_grid), reverse=True)
     if not grid:
         return []
     n, sizes = len(grid), range(1, max_items + 1)
-    counts = [comb(n + size - 1, size) for size in sizes]
-    if max_instances is None or sum(counts) <= max_instances:
-        chosen = itertools.chain.from_iterable(
-            itertools.combinations_with_replacement(grid, size) for size in sizes)
-    elif sum(counts) > sys.maxsize:  # the most `random.sample` can index
-        raise InstanceTooLargeError(f"scan too large to sample: {sum(counts)} multisets")
+    starts = [0, *itertools.accumulate(comb(n + size - 1, size) for size in sizes)]
+    total = starts[-1]
+    if max_instances is None or total <= max_instances:
+        ranks = range(total)
+    elif total > sys.maxsize:  # the most `random.sample` can index
+        raise InstanceTooLargeError(f"scan too large to sample: {total} multisets")
     else:
-        chosen, starts = [], [0, *itertools.accumulate(counts)]
-        for rank in random.Random(seed).sample(range(sum(counts)), max_instances):
-            size = bisect_right(starts, rank)
-            rank -= starts[size - 1]
-            multiset, a = [], 0
-            for left in range(size, 0, -1):
-                while rank >= (block := comb(n - a + left - 2, left - 1)):
-                    rank -= block
-                    a += 1
-                multiset.append(grid[a])
-            chosen.append(tuple(multiset))
+        ranks = random.Random(seed).sample(range(total), max_instances)
+    chosen = []
+    for rank in ranks:
+        size = bisect_right(starts, rank)
+        rank -= starts[size - 1]
+        multiset, a = [], 0
+        for left in range(size, 0, -1):
+            while rank >= (block := comb(n - a + left - 2, left - 1)):
+                rank -= block
+                a += 1
+            multiset.append(grid[a])
+        chosen.append(tuple(multiset))
     return sorted(chosen, key=lambda t: (len(t), t))
 
 

@@ -10,7 +10,6 @@ PUBLIC_NAMES = [
     "AgentAudit",
     "Allocation",
     "DEFAULT_LIMITS",
-    "Decomposition",
     "EntitlementVector",
     "FairnessReport",
     "Instance",
@@ -46,7 +45,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 34
     assert sorted(mmsfair.__all__) == PUBLIC_NAMES
 
 

@@ -399,6 +399,24 @@ def test_execute_refuses_numbers_it_would_truncate(command, inputs):
         execute(command, inputs)
 
 
+@pytest.mark.parametrize(
+    "command, inputs",
+    [
+        ("pairs", {"entitlement": 0.5, "item_count": 3}),
+        ("mms", {"items": [1, 2], "pair": 12}),
+        ("dominates", {"pair": "1/2", "other": 3}),
+        ("audit", {"items": [1, 2], "entitlements": [0.5, 0.5], "allocation": [[0], [1]]}),
+        ("scan", dict(_SCAN, entitlement_grid=[[0.5, 0.5]])),
+    ],
+    ids=["entitlement", "pair", "other", "entitlements", "entitlement_grid"],
+)
+def test_execute_refuses_numbers_where_strings_belong(command, inputs):
+    # A rational or an l/d condition is read from its text only, so a JSON
+    # number is refused and a float is never read as a Fraction.
+    with pytest.raises(ValueError, match="not a rational number|expected 'l/d'"):
+        execute(command, inputs)
+
+
 def test_execute_audit_refuses_fractional_item_indices():
     inputs = {"items": [1, 2], "entitlements": ["1/2", "1/2"], "allocation": [[0.9], [1.2]]}
     with pytest.raises(ValueError, match="item index must be an integer"):

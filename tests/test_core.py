@@ -44,6 +44,7 @@ def test_instance_rejects_bad_values():
 def test_parse_items_forms():
     assert parse_items("1,3,5").items == (1, 3, 5)
     assert parse_items("1 3  5").items == (1, 3, 5)
+    assert parse_items("1,\t3\n5\u00a06\u20037").items == (1, 3, 5, 6, 7)
     assert parse_items("  ").items == ()
     assert parse_items("").items == ()
     with pytest.raises(ValueError):

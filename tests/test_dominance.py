@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmsfair.core import Instance, MmsPair
-from mmsfair.dominance import Decomposition, decompose, dominates, non_dominance_witness
+from mmsfair.dominance import decompose, dominates, non_dominance_witness
 from mmsfair.engine import mms, mms_cardinality
 from oracles import brute_force_mms, bundle_size_reduction_applies, corollary_case
 
@@ -22,19 +22,19 @@ def grid_pairs(max_d, min_l=0):
 
 
 def test_decompose_examples():
-    assert decompose(3, 7) == Decomposition(q=3, r=2)
-    assert decompose(5, 3) == Decomposition(q=1, r=2)
-    assert decompose(4, 4) == Decomposition(q=1, r=0)
+    assert decompose(3, 7) == (3, 2)
+    assert decompose(5, 3) == (1, 2)
+    assert decompose(4, 4) == (1, 0)
     with pytest.raises(ValueError):
         decompose(0, 3)
 
 
 @given(st.integers(1, 50), st.integers(1, 50))
 def test_decompose_invariants(d, d_prime):
-    dec = decompose(d, d_prime)
-    assert dec.q >= 1
-    assert 0 <= dec.r <= d - 1
-    assert dec.q * d - dec.r == d_prime
+    q, r = decompose(d, d_prime)
+    assert q >= 1
+    assert 0 <= r <= d - 1
+    assert q * d - r == d_prime
 
 
 def test_dominates_spot_checks():

@@ -184,8 +184,8 @@ def _oracle_filtration(a, m):
     for p in cands:
         if p not in survivors:
             by = _oracle_attribute(p, survivors)
-            dec = decompose(by.d, p.d)
-            trace.append(Removal(removed=p, by=by, q=dec.q, r=dec.r))
+            q, r = decompose(by.d, p.d)
+            trace.append(Removal(removed=p, by=by, q=q, r=r))
     return tuple(survivors), trace
 
 

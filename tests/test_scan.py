@@ -120,10 +120,12 @@ def test_instances_unrank_the_listing_they_sample_from():
 def test_instances_of_a_large_grid_are_sampled_without_listing(monkeypatch):
     # C(40, 10) - 1, about 8.5e8 multisets of up to 30 values out of 10:
     # listing them first would take minutes and gigabytes, so it fails here.
+    # A full scan unranks every index on the same path, with no listing.
     def enumerated(*args):
         raise AssertionError("listed every multiset to sample 5")
 
     monkeypatch.setattr(scan.itertools, "combinations_with_replacement", enumerated)
+    assert scan._instances(2, [3, 1, 3], None, 0) == [(1,), (3,), (1, 1), (3, 1), (3, 3)]
     chosen = scan._instances(30, range(10), 5, 0)
     assert len(chosen) == 5 == len(set(chosen))
     for items in chosen:
