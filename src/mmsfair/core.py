@@ -121,12 +121,7 @@ class PartitionAssignment:
 
     def part_sums(self, items: Sequence[Value]) -> list[Value]:
         """Sum per part; `items` must be in the order the assignment was built for."""
-        if len(items) != len(self.part_of):
-            raise ValueError("assignment length does not match item count")
-        sums = [0] * self.d
-        for value, k in zip(items, self.part_of):
-            sums[k] += value
-        return sums
+        return [sum(group) for group in self.parts(items)]
 
     def parts(self, items: Sequence[Value]) -> list[list[Value]]:
         """Item values grouped per part, in part order."""

@@ -12,11 +12,12 @@ Three notions are evaluated exactly:
 
 WMMS and BMMS values are exact rationals. BMMS deliberately uses a
 subset-sum enumeration rather than the labeled-partition search, so the
-two routes cross-check each other where they must agree. At t_i = 1/n for
-all i the WMMS search is the 1-out-of-n share's, so a tied vector's WMMS
-is that share, read from the table OMMS reads. `agent_shares` and a scan
-compute each share and the sorted subset sums once per instance and each
-pair set once per (entitlement, item count): see `ShareTables`.
+two routes cross-check each other where they must agree. `agent_shares`
+and a scan compute each value-only search once per instance, in a table
+keyed by (l, scale), so a tied vector's WMMS (scale all ones) is the
+1-out-of-n entry OMMS reads; the sorted subset sums once per instance and
+each pair set once per (entitlement, item count): see `ShareTables`. The
+search checks its own bound; BMMS, which does not search, checks its own.
 
 Neither inner loop does Fraction arithmetic. The WMMS search puts the
 entitlements over a common denominator W, so w_j = t_j*W are integers;
@@ -43,7 +44,7 @@ from .core import (
     PartitionAssignment,
     Value,
 )
-from .engine import DEFAULT_LIMITS, SearchLimits, _search, _share
+from .engine import DEFAULT_LIMITS, SearchLimits, _search
 from .pairs import non_dominated_pairs
 
 #: The criterion names, in report order.
@@ -58,8 +59,9 @@ def check_criteria(names: Sequence[str]) -> None:
 
 
 class ShareTables:
-    """Share values and sorted subset sums of the current instance object
-    and pair sets by (entitlement, item count), for one call or scan."""
+    """Value-only searches by (l, scale) and sorted subset sums of the current
+    instance object and pair sets by (entitlement, item count), for one call or
+    scan. OMMS reads (l, (1,)*d), WMMS (1, c): a tied vector's is 1-out-of-n."""
 
     def __init__(self) -> None:
         self.instance, self.pairs = None, {}
@@ -69,11 +71,12 @@ class ShareTables:
             self.instance, self.shares, self.sums = instance, {}, None
         return self
 
-    def share(self, instance: Instance, p: MmsPair, limits: SearchLimits) -> Value:
-        # Keyed by (l, d): an MmsPair hashes in Python, a tuple in C.
-        shares, key = self.of(instance).shares, (p.l, p.d)
+    def share(self, instance: Instance, l: int, scale: tuple[int, ...],
+              limits: SearchLimits) -> Value:
+        # Keyed by the tuple (l, scale): a tuple hashes in C, an MmsPair in Python.
+        shares, key = self.of(instance).shares, (l, scale)
         if key not in shares:
-            shares[key] = _share(instance, p, limits, False)[0]
+            shares[key] = _search(instance.items, l, scale, False, limits)[0]
         return shares[key]
 
 
@@ -93,7 +96,7 @@ def omms_requirements(
     key = (a.numerator, a.denominator, m)
     if key not in tables.pairs:
         tables.pairs[key] = non_dominated_pairs(a, m)
-    return [(p, tables.share(instance, p, limits)) for p in tables.pairs[key]]
+    return [(p, tables.share(instance, p.l, (1,) * p.d, limits)) for p in tables.pairs[key]]
 
 
 def weighted_maximin_partition(
@@ -109,28 +112,23 @@ def weighted_maximin_partition(
     those groups and nowhere else. The assignment refers to canonical
     (non-increasing) item order and is deterministic.
     """
-    return _weighted(instance, entitlements, limits, True)
-
-
-def _weighted(
-    instance: Instance, entitlements: Sequence[Fraction], limits: SearchLimits,
-    lex_first: bool,
-) -> tuple[Fraction, PartitionAssignment]:
-    n = len(entitlements)
-    if n < 1:
+    if not entitlements:
         raise ValueError("at least one agent is required")
     for t in entitlements:
         if t <= 0:
             raise ValueError(f"entitlements must be positive, got {t}")
-    limits.check(len(instance.items), n)
+    den, top, scale = _ratio_keys(entitlements)
+    best_key, witness = _search(instance.items, 1, scale, True, limits)
+    return Fraction(best_key * den, top), witness
+
+
+def _ratio_keys(entitlements: Sequence[Fraction]) -> tuple[int, int, tuple[int, ...]]:
     # Integer keys as in the module docstring, with den = W, top = L and
-    # scale[j] = c_j: s/t_j is s*c_j * W/L.
+    # scale[j] = c_j: s/t_j is s*c_j * W/L, for entitlements already checked.
     den = lcm(*(t.denominator for t in entitlements))
     weights = [t.numerator * (den // t.denominator) for t in entitlements]
     top = lcm(*weights)
-    scale = [top // w for w in weights]
-    best_key, witness = _search(instance.items, 1, scale, lex_first)
-    return Fraction(best_key * den, top), witness
+    return den, top, tuple(top // w for w in weights)
 
 
 def wmms_value(
@@ -143,8 +141,8 @@ def wmms_value(
     min_j V(part_j) / t_j."""
     if not 0 <= i < len(t):
         raise ValueError(f"agent index {i} outside 0..{len(t) - 1}")
-    best, _ = _weighted(instance, t.entitlements, limits, False)
-    return t[i] * best
+    den, top, scale = _ratio_keys(t.entitlements)
+    return t[i] * Fraction(_search(instance.items, 1, scale, False, limits)[0] * den, top)
 
 
 def _subset_sums(items: Sequence[Value]) -> set[Value]:
@@ -193,18 +191,16 @@ def agent_shares(
 ) -> list[tuple[list[tuple[MmsPair, Value]], Fraction, Fraction]]:
     """(OMMS requirements, WMMS value, BMMS value) of every agent, in agent
     order. Agents with equal entitlements share all three; `tables` (fresh
-    by default) holds each share, pair set and the subset sums once. All
-    t_i = 1/n makes WMMS the 1-out-of-n share, else one labeled-partition
-    search. Shares are computed in first-use order, so the first refusal
+    by default) holds each search, pair set and the subset sums once. WMMS
+    is the table's (1, c) search, which for all t_i = 1/n is the 1-out-of-n
+    share. Shares are computed in first-use order, so the first refusal
     is the one the agents meet in order."""
     tables = ShareTables() if tables is None else tables
+    den, top, scale = _ratio_keys(t.entitlements)
+    best_ratio = Fraction(tables.share(instance, 1, scale, limits) * den, top)
     # Agents are grouped by entitlement under integer keys, in first-use order.
     keys = [(t_i.numerator, t_i.denominator) for t_i in t]
     groups = dict(zip(keys, t))
-    if len(groups) == 1:
-        best_ratio = len(t) * tables.share(instance, MmsPair(1, len(t)), limits)
-    else:
-        best_ratio, _ = _weighted(instance, t.entitlements, limits, False)
     for key, a in groups.items():
         groups[key] = (omms_requirements(instance, a, limits, tables), a * best_ratio,
                        bmms_value(instance, a, limits, tables))

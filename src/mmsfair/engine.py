@@ -5,6 +5,8 @@ possibly-empty parts, of the sum of the l smallest part sums. `mms` and
 the WMMS search of `criteria` run one search, `_search`: it maximizes the
 sum of the l smallest keys s_j*scale[j] (s_j: part sums). `mms` has unit
 scale; WMMS has l = 1 and scale c_j; l > 1 comes with unit scale only.
+It is the one entry, so it alone decides whether a search runs: at l >= 1
+it refuses past the caller's `SearchLimits`, then past its recursion depth.
 Parts of one scale are interchangeable, so part j opens only once its twin,
 the previous part of the same scale, is in use: the part before at unit
 scale, the previous agent of equal entitlement in WMMS. The search walks the
@@ -164,12 +166,15 @@ def _upper_bound(
 
 
 def _search(
-    items: Sequence[Value], l: int, scale: Sequence[int], lex_first: bool
+    items: Sequence[Value], l: int, scale: Sequence[int], lex_first: bool,
+    limits: SearchLimits,
 ) -> tuple[Value, PartitionAssignment]:
     # The search of the module docstring: the best sum of the l smallest keys
     # and an assignment over the canonical (non-increasing) item order that
     # reaches it. l > 1 needs unit scale: part sums are keys there.
     d = len(scale)
+    if l:  # l = 0 is the empty union: no search, so nothing to refuse
+        limits.check(len(items), d)
     canonical = sorted(items, reverse=True)
     m = len(canonical) - canonical.count(0)
     zeros = (0,) * (len(canonical) - m)
@@ -287,15 +292,7 @@ def mms(
     order of first use. Raises InstanceTooLargeError beyond `limits`,
     except for l == 0, which needs no search.
     """
-    return MmsResult(*_share(instance, pair, limits, True))
-
-
-def _share(
-    instance: Instance, pair: MmsPair, limits: SearchLimits, lex_first: bool
-) -> tuple[Value, PartitionAssignment]:
-    if pair.l:  # l = 0 is the empty union: no search, so nothing to refuse
-        limits.check(len(instance.items), pair.d)
-    return _search(instance.items, pair.l, (1,) * pair.d, lex_first)
+    return MmsResult(*_search(instance.items, pair.l, (1,) * pair.d, True, limits))
 
 
 def mms_cardinality(m: int, pair: MmsPair) -> int:

@@ -2,9 +2,14 @@
 
 For each (instance, entitlement vector) combination the scan records the
 per-agent OMMS requirement maximum, the WMMS value, and the BMMS value,
-and flags where one notion is strictly stronger than another. The claim
-that BMMS-fairness implies the other two is only ever reported as
-"counterexample found" or "none found at this scale", never asserted.
+and flags where one notion is strictly stronger than another. BMMS-fair
+implies WMMS- and OMMS-fair, a theorem (for t_i < 1; t_i = 1 is trivial).
+BMMS_i >= WMMS_i: split an optimal WMMS partition, V(P_j) >= t_j*R, into
+X = P_i and the rest; V(X)/t_i >= R and V(rest)/(1 - t_i) >= R. BMMS_i >=
+every l-out-of-d share with l/d <= t_i: the l smallest parts X, of sum s,
+of an optimal partition leave d - l parts of at least s/l each, so
+V(rest)/(1 - t_i) >= (d - l)s/(l(1 - t_i)) >= s/t_i. So a row counted
+against it is an alarm: BMMS (subset sums) and the search disagree.
 """
 from __future__ import annotations
 
@@ -53,7 +58,7 @@ class ScanReport:
     seed: int
 
     def conjecture_counterexamples(self) -> list[ScanRow]:
-        """Rows where a BMMS-fair bundle could fail WMMS or OMMS."""
+        """Rows where a BMMS-fair bundle fails WMMS or OMMS: an alarm (module docstring)."""
         return [r for r in self.rows if r.bmms_below_wmms or r.bmms_below_omms]
 
     def summary(self) -> dict:

@@ -3,12 +3,16 @@
 `brute_force_mms_table` is the deliberately dumb twin of `engine.mms`: an
 unpruned enumeration of all d**m part assignments. `corollary_case` and
 `bundle_size_reduction_applies` state the paper's shortcut rules directly,
-for the tests of `dominance` and of the filtration's credits.
+for the tests of `dominance` and of the filtration's credits. `coverable`
+is a 2**m * m bin-covering decision DP: it certifies 1-out-of-d and WMMS
+values at 16 items, past the d**m enumeration, and shares no code with the
+search.
 """
 from __future__ import annotations
 
 import itertools
 from math import gcd
+from typing import Sequence
 
 from mmsfair.core import Instance, InstanceTooLargeError, MmsPair, Value
 
@@ -77,3 +81,41 @@ def bundle_size_reduction_applies(p: MmsPair, p_prime: MmsPair, m: int) -> bool:
         raise ValueError(f"item count must be non-negative, got {m}")
     h = p_prime.d - p.d
     return h >= 0 and p_prime.l - p.l == h and m <= p.d
+
+
+def coverable(items: Sequence[Value], floors: Sequence[Value]) -> bool:
+    """Can the items fill len(floors) labeled parts, part j to at least
+    floors[j]? Items beyond the floors go to any part.
+
+    dp[mask] is the lexicographically best pair (parts completed in the
+    fixed order of `floors`, fill of the next part) over all orders of the
+    items in mask. A completed part absorbs any later item, so the best pair
+    dominates every other: more parts completed, then more fill. A floor of
+    0 (or less) is met by an empty part as soon as it comes up. The pair is
+    stored as completed * big + fill, with every fill below big.
+    """
+    d, m = len(floors), len(items)
+    big = sum(items) + 1
+
+    def settle(k: int) -> int:
+        # Parts whose floor is met while still empty complete at once.
+        while k < d and floors[k] <= 0:
+            k += 1
+        return k
+
+    done = d * big
+    dp = [0] * (1 << m)
+    dp[0] = settle(0) * big
+    # Every subset of mask comes before it, so dp[mask] is final when read.
+    for mask, state in enumerate(dp):
+        if state >= done:
+            return True  # the rest of the items go to any part
+        k, fill = divmod(state, big)
+        for i, v in enumerate(items):
+            bit = 1 << i
+            if mask & bit:
+                continue
+            new = settle(k + 1) * big if fill + v >= floors[k] else state + v
+            if new > dp[mask | bit]:
+                dp[mask | bit] = new
+    return dp[-1] >= done

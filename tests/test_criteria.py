@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -24,6 +25,7 @@ from mmsfair.criteria import (
     wmms_value,
 )
 from mmsfair.engine import SearchLimits, mms
+from oracles import ORACLE_MAX_PARTS, coverable
 
 TWO_ITEMS = Instance((40, 60))
 INTRO = Instance((1, 3, 5, 6, 9))
@@ -435,6 +437,20 @@ def test_weighted_search_on_sixteen_near_equal_items():
     assert min(values) * counts_ratio <= ratio <= max(values) * counts_ratio
 
 
+def test_sixteen_item_weighted_share_is_certified():
+    # Past every weighted oracle: R = WMMS_j / t_j is the best ratio exactly
+    # when parts of at least R*t_j exist and parts above it, at
+    # floor(R*t_j) + 1, do not. The covering DP decides both on the hunt's
+    # 16 items 10**6 + randrange(51), with Fraction floors from the ratio.
+    rng = random.Random(1000 * 50)
+    instance = Instance(tuple(10**6 + rng.randrange(51) for _ in range(16)))
+    t = EntitlementVector((Fraction(2, 9), Fraction(1, 5), Fraction(2, 9), Fraction(16, 45)))
+    ratio = wmms_value(instance, t, 0) / t[0]
+    assert [wmms_value(instance, t, j) for j in range(len(t))] == [ratio * t_j for t_j in t]
+    assert coverable(instance.items, [math.ceil(ratio * t_j) for t_j in t])
+    assert not coverable(instance.items, [math.floor(ratio * t_j) + 1 for t_j in t])
+
+
 @pytest.mark.parametrize(
     "entitlements, nodes",
     [(normalized(1, 2, 3, 4), 137), (normalized(74, 13, 13), 25)],
@@ -540,6 +556,37 @@ def test_bmms_matches_subset_scan(values, t_i, c):
     assert bmms_value(Instance(tuple(scaled)), t_i) == subset_sum_scan(scaled, t_i)
 
 
+# 0-9 items, small values with zeros and ties or near-equal large ones.
+bmms_instances = st.lists(
+    st.one_of(st.integers(0, 30), st.integers(10**6, 10**6 + 50)), max_size=9
+).map(lambda xs: Instance(tuple(xs)))
+agent_vectors = st.integers(2, 4).flatmap(entitlement_vectors)
+
+
+@seed(21)
+@settings(max_examples=150, deadline=None)
+@given(bmms_instances, agent_vectors)
+def test_bmms_is_at_least_wmms(instance, t):
+    # A theorem: split an optimal WMMS partition into P_i and the rest.
+    # V(P_i)/t_i >= R, and V(rest)/(1 - t_i) >= sum_{j != i} t_j*R/(1 - t_i) = R.
+    for i, t_i in enumerate(t):
+        assert bmms_value(instance, t_i) >= wmms_value(instance, t, i), i
+
+
+@seed(21)
+@settings(max_examples=150, deadline=None)
+@given(bmms_instances, agent_vectors)
+def test_bmms_is_at_least_every_share_it_covers(instance, t):
+    # A theorem: let X be the l smallest parts, of sum s, of an optimal
+    # l-out-of-d partition. The other d - l parts are each at least s/l, so
+    # V(rest)/(1 - t_i) >= (d - l)s / (l(1 - t_i)) >= s/t_i when d*t_i >= l.
+    for t_i in t:
+        bmms = bmms_value(instance, t_i)
+        for d in range(1, ORACLE_MAX_PARTS + 1):
+            for l in range(1, d * t_i.numerator // t_i.denominator + 1):
+                assert bmms >= mms(instance, MmsPair(l, d)).value, (t_i, l, d)
+
+
 def test_agent_shares_computes_each_share_once(monkeypatch):
     instance = Instance((9, 7, 6, 5, 3, 2, 1))
     # Two agents share 2/9, and 2/9 and 1/5 both need the 1-out-of-5 share.
@@ -554,10 +601,10 @@ def test_agent_shares_computes_each_share_once(monkeypatch):
         )
         for i, t_i in enumerate(t)
     ]
-    calls = {"_share": [], "non_dominated_pairs": [], "bmms_value": []}
+    calls = {"_search": [], "non_dominated_pairs": [], "bmms_value": []}
 
     def counted(name, key):
-        # Records argument `key` of each call: the pair or the entitlement.
+        # Records arguments `key` of each call: (l, scale) or the entitlement.
         real = getattr(criteria, name)
 
         def wrapper(*args):
@@ -566,15 +613,18 @@ def test_agent_shares_computes_each_share_once(monkeypatch):
 
         return wrapper
 
-    # `_share` is the value-only share behind the share table.
-    for name, key in (("_share", 1), ("non_dominated_pairs", 0), ("bmms_value", 1)):
+    # `_search` behind the share table runs every value-only search.
+    for name, key in (("_search", slice(1, 3)), ("non_dominated_pairs", 0),
+                      ("bmms_value", 1)):
         monkeypatch.setattr(criteria, name, counted(name, key))
     assert agent_shares(instance, t) == expected
     distinct = [Fraction(2, 9), Fraction(1, 5), Fraction(16, 45)]
     assert calls["non_dominated_pairs"] == distinct
     assert calls["bmms_value"] == distinct
-    assert len(calls["_share"]) == len(set(calls["_share"]))
-    assert set(calls["_share"]) == {p for reqs, _, _ in expected for p, _ in reqs}
+    assert len(calls["_search"]) == len(set(calls["_search"]))
+    # The OMMS pairs at unit scale and the one weighted search, at c_j = L // w_j.
+    omms = {(p.l, (1,) * p.d) for reqs, _, _ in expected for p, _ in reqs}
+    assert set(calls["_search"]) == omms | {(1, (72, 80, 72, 45))}
 
 
 def test_agent_shares_first_refusal_is_unchanged():

@@ -3,6 +3,7 @@ import math
 import operator
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +17,10 @@ from mmsfair.core import (
     PartitionAssignment,
     canonicalize,
 )
+from mmsfair.criteria import omms_requirements
 from mmsfair.dominance import dominates
 from mmsfair.engine import SearchLimits, min_l_union, mms, mms_cardinality
-from oracles import brute_force_mms, brute_force_mms_table
+from oracles import brute_force_mms, brute_force_mms_table, coverable
 
 INTRO = Instance((1, 3, 5, 6, 9))
 
@@ -524,9 +526,37 @@ def test_value_only_share_takes_no_node_when_the_start_meets_the_root(
     # from the greedy one). With at most d items the cap at j = d is the
     # share itself, the l - (d - m) smallest items (2, 2 and 4 nodes under
     # the plain l*T//d).
-    args = (instance, pair, SearchLimits(), False)
-    assert engine._share(*args)[0] == value
-    assert dfs_calls(engine._share, 0, *args) == 0
+    args = (instance.items, pair.l, (1,) * pair.d, False, SearchLimits())
+    assert engine._search(*args)[0] == value
+    assert dfs_calls(engine._search, 0, *args) == 0
+
+
+def test_coverable_certifies_the_oracle_shares():
+    # v is the 1-out-of-d share exactly when d parts of at least v exist and
+    # d parts of at least v + 1 do not; v = 0 needs empty parts up front.
+    rng = random.Random(21)
+    for _ in range(300):
+        m = rng.randint(0, 6)
+        if rng.random() < 0.5:
+            values = _mixed_values(rng, m)
+        else:
+            values = [rng.randrange(40) for _ in range(m)]
+        d = rng.randint(1, 5)
+        v = brute_force_mms(Instance(tuple(values)), MmsPair(1, d))
+        assert coverable(values, [v] * d), (values, d, v)
+        assert not coverable(values, [v + 1] * d), (values, d, v)
+
+
+@pytest.mark.parametrize("k, seed, d", [(50, 0, 3), (400, 1, 5), (10**6, 1, 7)])
+def test_sixteen_item_one_out_of_d_shares_are_certified(k, seed, d):
+    # Past the d**m oracle: the share read through the share table (OMMS at
+    # 1/d, whose only surviving condition is 1/d) and through `mms` is
+    # certified by the covering DP, which shares no code with the search.
+    instance = _spread(k, seed)
+    [(pair, v)] = omms_requirements(instance, Fraction(1, d))
+    assert pair == MmsPair(1, d) and mms(instance, pair).value == v
+    assert coverable(instance.items, [v] * d)
+    assert not coverable(instance.items, [v + 1] * d)
 
 
 def _mixed_values(rng, m):
@@ -540,6 +570,7 @@ def test_value_only_route_matches_the_lex_first_values():
     # 6,000 seeded searches on 0-10 items, at unit scale for every
     # 1 <= l <= d <= 6 and at WMMS scales (l = 1, c_j = lcm(w) // w_j).
     rng = random.Random(18)
+    limits = SearchLimits()
     for _ in range(6000):
         values = _mixed_values(rng, rng.randint(0, 10))
         d = rng.randint(1, 6)
@@ -548,8 +579,8 @@ def test_value_only_route_matches_the_lex_first_values():
         else:
             weights = [rng.randint(1, 4) for _ in range(d)]
             l, scale = 1, tuple(math.lcm(*weights) // w for w in weights)
-        value, witness = engine._search(values, l, scale, False)
-        assert value == engine._search(values, l, scale, True)[0], (values, l, scale)
+        value, witness = engine._search(values, l, scale, False, limits)
+        assert value == engine._search(values, l, scale, True, limits)[0], (values, l, scale)
         keys = map(operator.mul, witness.part_sums(sorted(values, reverse=True)), scale)
         assert min_l_union(list(keys), l) == value
 
@@ -645,7 +676,7 @@ def test_both_routes_refuse_past_the_depth_guard(lex_first):
     raised = SearchLimits(max_items=5000)
 
     def share(instance):
-        return engine._share(instance, MmsPair(1, 2), raised, lex_first)[0]
+        return engine._search(instance.items, 1, (1, 1), lex_first, raised)[0]
 
     assert share(Instance((1,) * cap)) == cap // 2
     with pytest.raises(InstanceTooLargeError, match=f"{cap + 1} items exceed"):

@@ -165,13 +165,13 @@ def test_scan_computes_each_share_once_per_instance(monkeypatch):
     grid = [T_40_60, T_SKEW]
     expected = notion_separation_scan(3, [0, 1, 40, 60], grid)
     calls = []
-    real = criteria._share  # the value-only share behind the share table
+    real = criteria._search  # every value-only search, behind the share table
 
-    def counted(instance, pair, limits, lex_first):
-        calls.append((instance.items, pair))
-        return real(instance, pair, limits, lex_first)
+    def counted(items, l, scale, lex_first, limits):
+        calls.append((items, l, scale))
+        return real(items, l, scale, lex_first, limits)
 
-    monkeypatch.setattr(criteria, "_share", counted)
+    monkeypatch.setattr(criteria, "_search", counted)
     assert notion_separation_scan(3, [0, 1, 40, 60], grid) == expected
     assert calls and len(calls) == len(set(calls))
 
@@ -232,8 +232,8 @@ def test_scan_rows_match_a_row_by_row_reference(max_items, grid, grid_vectors):
 def test_scan_computes_pair_sets_subset_sums_and_tied_shares_once(monkeypatch):
     grid = [T_40_60, T_SKEW, tied(2), tied(3), T_74_26]
     expected = notion_separation_scan(3, [0, 1, 40, 60], grid)
-    # `_weighted` is the value-only weighted search.
-    calls = {"non_dominated_pairs": [], "_subset_sums": [], "_weighted": []}
+    # `_search` runs every value-only search, OMMS and WMMS.
+    calls = {"non_dominated_pairs": [], "_subset_sums": [], "_search": []}
 
     def counted(name):
         real = getattr(criteria, name)
@@ -249,11 +249,11 @@ def test_scan_computes_pair_sets_subset_sums_and_tied_shares_once(monkeypatch):
     assert notion_separation_scan(3, [0, 1, 40, 60], grid) == expected
     instances = {row.items for row in expected.rows}
     # One pair set per (entitlement, item count), one enumeration per
-    # instance, and the weighted search for untied vectors only.
+    # instance, and a search at a non-unit scale for untied vectors only: a
+    # tied vector's WMMS is the 1-out-of-n share at unit scale.
     pair_sets = calls["non_dominated_pairs"]
     assert len(pair_sets) == len(set(pair_sets))
     assert set(pair_sets) == {(t_i, m) for t in grid for t_i in t for m in (1, 2, 3)}
     assert sorted(items for items, in calls["_subset_sums"]) == sorted(instances)
-    searched = [entitlements for _, entitlements, _, _ in calls["_weighted"]]
-    assert len(searched) == 3 * len(instances)
-    assert all(len(set(entitlements)) > 1 for entitlements in searched)
+    weighted = [scale for _, _, scale, _, _ in calls["_search"] if set(scale) != {1}]
+    assert len(weighted) == 3 * len(instances)
