@@ -299,7 +299,7 @@ def _build_scan_inputs(args: argparse.Namespace) -> dict:
     ]
     return {
         "max_items": args.max_items_scan,
-        "value_grid": [int(v) for v in (args.values or "").replace(",", " ").split()],
+        "value_grid": list(parse_items(args.values or "").items),
         "entitlement_grid": entitlement_grid,
         "max_instances": args.max_instances,
         "seed": args.seed,

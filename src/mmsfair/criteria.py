@@ -219,6 +219,9 @@ class Allocation:
             for i in bundle:
                 if isinstance(i, bool) or not isinstance(i, int):
                     raise ValueError(f"item index must be an integer, got {i!r}")
+            if len(set(bundle)) < len(bundle):  # frozenset would drop the repeat
+                twice = {i for i in bundle if bundle.count(i) > 1}
+                raise ValueError(f"item indices assigned twice: {sorted(twice)}")
         return cls(tuple(frozenset(b) for b in lists))
 
     def validate_for(self, instance: Instance) -> None:

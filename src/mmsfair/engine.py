@@ -42,10 +42,10 @@ beating best puts every key at best + 1 or more, so each part needs its own
 items up to its floor ceil((best + 1) / scale[j]): the shortfalls must fit
 in the remaining value, and the fewest of the largest remaining items that
 cover each must fit in the remaining count (this cuts all that
-water-filling would). The last item is placed in closed form, after one cut
+water-filling would). The last item is placed by formula, after one cut
 for every l: no key rises by more than v*lcm(scale) or past the l+1-th
 smallest. The witness is re-checked on every call. `mms_cardinality` is the
-closed form for identical unit items.
+formula for identical unit items.
 """
 from __future__ import annotations
 
@@ -107,22 +107,17 @@ def min_l_union(part_sums: Sequence[Value], l: int) -> Value:
     return sum(sorted(part_sums)[:l])
 
 
-def _greedy_start(
-    items: Sequence[Value], l: int, scale: Sequence[int], where: list[int], j=0, c=0
-) -> Value:
+def _greedy(
+    items: Sequence[Value], scale: Sequence[int], where: list[int], first=0, part=0
+) -> list[Value]:
     # Each item, largest first, to the part with the least key (the first of
-    # equals), item i to part where[i]: a feasible partition, so its l
-    # smallest keys are a lower bound. Given 0 < c < m, items 0..c-1 go to
-    # parts 0..j-1 (head), the rest to parts j..; closed parts top any sum.
-    d, closed = len(scale), sum(items) + 1 if c else 0
-    keys = [0] * j + [closed] * (d - j)
-    for i, v in enumerate(items):
-        if i == c and c:
-            head, keys[:j], keys[j:] = keys[:j], [closed] * j, [0] * (d - j)
+    # equals), item first + i to part part + k; returns the keys it reaches.
+    keys = [0] * len(scale)
+    for i, v in enumerate(items, first):
         k = keys.index(min(keys))
         keys[k] += v * scale[k]
-        where[i] = k
-    return sum(sorted(head + keys[j:] if c else keys)[:l])
+        where[i] = part + k
+    return keys
 
 
 def _count_cap(prefix: list[Value], l: int, d: int) -> tuple[Value, int, int]:
@@ -190,13 +185,14 @@ def _search(
     prefix = [0, *itertools.accumulate(items)]
     total = prefix[m]
     top = lcm(*scale)
-    root, j, c = (_count_cap(prefix, l, d) if top == 1  # WMMS scales: no cap start
-                  else (l * total * top // sum(top // s for s in scale), d, 0))
+    root, cap_j, cap_c = (_count_cap(prefix, l, d) if top == 1  # WMMS scales: no cap start
+                          else (l * total * top // sum(top // s for s in scale), d, 0))
     assign = [0] * m
-    best = _greedy_start(items, l, scale, assign)
-    if best < root and j < d:  # try the cap's partition too
-        split = [0] * m
-        if (start := _greedy_start(items, l, scale, split, j, c)) > best:
+    best = min_l_union(_greedy(items, scale, assign), l)
+    if best < root and cap_j < d:  # try the cap's partition too
+        keys = _greedy(items[:cap_c], scale[:cap_j], split := [0] * m)
+        keys += _greedy(items[cap_c:], scale[cap_j:], split, cap_c, cap_j)
+        if (start := min_l_union(keys, l)) > best:
             best, assign = start, split
     # The lex-first route starts one below, with no witness until beaten.
     best, best_assign = (best - 1, None) if lex_first else (best, tuple(assign))
@@ -296,7 +292,7 @@ def mms(
 
 
 def mms_cardinality(m: int, pair: MmsPair) -> int:
-    """Share of m identical unit items, via the balanced-split closed form.
+    """Share of m identical unit items, via the balanced-split formula.
 
     The most balanced partition into d parts has r parts of size q - 1 and
     d - r parts of size q, where q = ceil(m / d) and r = q * d - m; the l

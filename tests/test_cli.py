@@ -452,6 +452,13 @@ def test_record_to_unwritable_path_is_a_usage_error(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("allocation", ["0,0;1", "0;0,1"])
+def test_audit_refuses_an_item_index_listed_twice(capsys, allocation):
+    # Inside one bundle as across two: the same usage error.
+    argv = ["audit", "--items", "1,2", "--entitlements", "1/2,1/2", "--allocation", allocation]
+    assert run(capsys, *argv) == (2, "", "error: item indices assigned twice: [0]\n")
+
+
 def test_scan_out_to_unwritable_path_is_a_usage_error(tmp_path, capsys):
     out_csv = tmp_path / "missing" / "report.csv"
     code, out, err = run(
@@ -709,6 +716,7 @@ def test_value_starting_with_dash_reaches_its_parser(capsys, argv, message, join
          "not a rational number: '-x'"),
         (["audit", "--items", "1,2", "--entitlements", "1/2,1/2", "--allocation", "-x"],
          "bad allocation segment '-x'"),
+        (["scan", "--values", "-x"], "bad item list: '-x'"),
     ],
 )
 def test_single_dash_word_reaches_its_parser(capsys, argv, message, joined):

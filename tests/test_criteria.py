@@ -175,6 +175,9 @@ def test_allocation_validation():
         Allocation.from_lists([[0], []]).validate_for(TWO_ITEMS)
     with pytest.raises(ValueError):
         Allocation.from_lists([[0], [1, 2]]).validate_for(TWO_ITEMS)
+    # A repeat inside one bundle, which a set of indices would drop.
+    with pytest.raises(ValueError, match=r"item indices assigned twice: \[0\]"):
+        Allocation.from_lists([[0, 0], [1]]).validate_for(TWO_ITEMS)
     # The same rule as Instance's item values: no bool, float or text.
     for index in (True, 1.0, "1"):
         with pytest.raises(ValueError, match="item index must be an integer"):
@@ -493,7 +496,7 @@ def test_equal_entitlements_match_the_one_out_of_d_share(values, d):
 
 
 def test_weighted_search_raises_when_start_is_never_beaten(monkeypatch):
-    monkeypatch.setattr(engine, "_greedy_start", lambda items, l, scale, where: 10**9)
+    monkeypatch.setattr(engine, "_greedy", lambda items, scale, where: [10**9] * len(scale))
     with pytest.raises(AssertionError, match="witness None"):
         weighted_maximin_partition(INTRO, normalized(1, 1))
 

@@ -100,7 +100,7 @@ def test_mms_raises_when_witness_misses_value(monkeypatch):
 def test_mms_raises_when_start_is_never_beaten(monkeypatch):
     # No leaf beats a greedy start above the optimum, so there is no witness:
     # a search fault, raised as such rather than as a bad-input ValueError.
-    monkeypatch.setattr(engine, "_greedy_start", lambda items, l, scale, where: 10**9)
+    monkeypatch.setattr(engine, "_greedy", lambda items, scale, where: [10**9] * len(scale))
     with pytest.raises(AssertionError, match="witness None"):
         mms(INTRO, MmsPair(1, 3))
 
@@ -527,7 +527,11 @@ def test_value_only_share_takes_no_node_when_the_start_meets_the_root(
     # share itself, the l - (d - m) smallest items (2, 2 and 4 nodes under
     # the plain l*T//d).
     args = (instance.items, pair.l, (1,) * pair.d, False, SearchLimits())
-    assert engine._search(*args)[0] == value
+    share, witness = engine._search(*args)
+    assert share == value
+    if pair == MmsPair(5, 7):  # the cap binds at j = 5 with C_j = 10
+        # The 10 largest items are in parts 0-4, the other 6 in parts 5-6.
+        assert max(witness.part_of[:10]) <= 4 < min(witness.part_of[10:])
     assert dfs_calls(engine._search, 0, *args) == 0
 
 
