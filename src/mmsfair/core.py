@@ -6,8 +6,9 @@ precision, or overflows silently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 #: Non-negative integer item value. Python ints are unbounded, so sums of
@@ -133,11 +134,22 @@ class PartitionAssignment:
         return groups
 
 
+def ratio_keys(entitlements: Sequence[Fraction]) -> tuple[int, int, tuple[int, ...]]:
+    """WMMS integer keys (W, L, c) of positive entitlements: see `criteria`."""
+    den = lcm(*(t.denominator for t in entitlements))
+    weights = [t.numerator * (den // t.denominator) for t in entitlements]
+    top = lcm(*weights)
+    return den, top, tuple(top // w for w in weights)
+
+
 @dataclass(frozen=True, slots=True)
 class EntitlementVector:
     """Strictly positive rational entitlements summing to exactly 1."""
 
     entitlements: tuple[Fraction, ...]
+    # Set once, when built: its `ratio_keys` and each entitlement as (p, q).
+    wmms_keys: tuple[int, int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    lowest_terms: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -151,6 +163,8 @@ class EntitlementVector:
         total = sum(self.entitlements)
         if total != 1:
             raise ValueError(f"entitlements must sum to 1, got {total}")
+        object.__setattr__(self, "wmms_keys", ratio_keys(self.entitlements))
+        object.__setattr__(self, "lowest_terms", tuple(t.as_integer_ratio() for t in self))
 
     def __len__(self) -> int:
         return len(self.entitlements)

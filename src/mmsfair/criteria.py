@@ -21,20 +21,21 @@ search checks its own bound; BMMS, which does not search, checks its own.
 
 Neither inner loop does Fraction arithmetic. The WMMS search puts the
 entitlements over a common denominator W, so w_j = t_j*W are integers;
-with L = lcm(w) and c_j = L // w_j, each ratio s/t_j is s*c_j * W/L, and
-the search compares the integer keys s*c_j, building one Fraction at the
-end. It is `engine._search` at l = 1 with scale c_j, parts of equal
-entitlement opened in order. `engine` states its rules and its two routes:
-`weighted_maximin_partition` takes the lex-first one, the shares and WMMS
-of `agent_shares` and `wmms_value` the value-only one. BMMS bisects the
-sorted subset sums for t_i*T and scores the two on either side of it.
+with L = lcm(w) and c_j = L // w_j, each ratio s/t_j is s*c_j * W/L. An
+`EntitlementVector` keeps (W, L, c) and each t_i = p/q from when it is
+built; the search compares the integer keys s*c_j, and agent i's WMMS is
+the one Fraction p*key*W / (q*L). The search is `engine._search` at l = 1
+with scale c_j, parts of equal entitlement opened in order. `engine` states
+its rules and its routes: `weighted_maximin_partition` takes the lex-first
+one, the shares and WMMS of `agent_shares` and `wmms_value` the value-only
+one. BMMS bisects the sorted subset sums for t_i*T and scores the two on
+either side of it.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .core import (
@@ -43,6 +44,7 @@ from .core import (
     MmsPair,
     PartitionAssignment,
     Value,
+    ratio_keys,
 )
 from .engine import DEFAULT_LIMITS, SearchLimits, _search
 from .pairs import non_dominated_pairs
@@ -117,18 +119,9 @@ def weighted_maximin_partition(
     for t in entitlements:
         if t <= 0:
             raise ValueError(f"entitlements must be positive, got {t}")
-    den, top, scale = _ratio_keys(entitlements)
-    best_key, witness = _search(instance.items, 1, scale, True, limits)
-    return Fraction(best_key * den, top), witness
-
-
-def _ratio_keys(entitlements: Sequence[Fraction]) -> tuple[int, int, tuple[int, ...]]:
-    # Integer keys as in the module docstring, with den = W, top = L and
-    # scale[j] = c_j: s/t_j is s*c_j * W/L, for entitlements already checked.
-    den = lcm(*(t.denominator for t in entitlements))
-    weights = [t.numerator * (den // t.denominator) for t in entitlements]
-    top = lcm(*weights)
-    return den, top, tuple(top // w for w in weights)
+    den, top, scale = ratio_keys(entitlements)
+    best_key, part_of = _search(instance.items, 1, scale, True, limits)
+    return Fraction(best_key * den, top), PartitionAssignment(part_of, len(scale))
 
 
 def wmms_value(
@@ -141,8 +134,9 @@ def wmms_value(
     min_j V(part_j) / t_j."""
     if not 0 <= i < len(t):
         raise ValueError(f"agent index {i} outside 0..{len(t) - 1}")
-    den, top, scale = _ratio_keys(t.entitlements)
-    return t[i] * Fraction(_search(instance.items, 1, scale, False, limits)[0] * den, top)
+    den, top, scale = t.wmms_keys
+    p, q = t.lowest_terms[i]
+    return Fraction(p * _search(instance.items, 1, scale, False, limits)[0] * den, q * top)
 
 
 def _subset_sums(items: Sequence[Value]) -> set[Value]:
@@ -196,15 +190,15 @@ def agent_shares(
     share. Shares are computed in first-use order, so the first refusal
     is the one the agents meet in order."""
     tables = ShareTables() if tables is None else tables
-    den, top, scale = _ratio_keys(t.entitlements)
-    best_ratio = Fraction(tables.share(instance, 1, scale, limits) * den, top)
+    den, top, scale = t.wmms_keys
+    best_key = tables.share(instance, 1, scale, limits) * den
     # Agents are grouped by entitlement under integer keys, in first-use order.
-    keys = [(t_i.numerator, t_i.denominator) for t_i in t]
-    groups = dict(zip(keys, t))
-    for key, a in groups.items():
-        groups[key] = (omms_requirements(instance, a, limits, tables), a * best_ratio,
-                       bmms_value(instance, a, limits, tables))
-    return [groups[key] for key in keys]
+    groups = dict(zip(t.lowest_terms, t))
+    for (p, q), a in groups.items():
+        groups[p, q] = (omms_requirements(instance, a, limits, tables),
+                        Fraction(p * best_key, q * top),
+                        bmms_value(instance, a, limits, tables))
+    return [groups[key] for key in t.lowest_terms]
 
 
 @dataclass(frozen=True, slots=True)

@@ -44,8 +44,9 @@ in the remaining value, and the fewest of the largest remaining items that
 cover each must fit in the remaining count (this cuts all that
 water-filling would). The last item is placed by formula, after one cut
 for every l: no key rises by more than v*lcm(scale) or past the l+1-th
-smallest. The witness is re-checked on every call. `mms_cardinality` is the
-formula for identical unit items.
+smallest. `_search` returns the value and a bare assignment, whose keys it
+re-checks on every call; only `mms` and `weighted_maximin_partition` build
+a `PartitionAssignment`. `mms_cardinality` is the share of m unit items.
 """
 from __future__ import annotations
 
@@ -73,6 +74,10 @@ class SearchLimits:
 
     max_items: int = 16
     max_parts: int = 10
+
+    def __post_init__(self) -> None:
+        if self.max_items < 0 or self.max_parts < 0:
+            raise ValueError(f"search limits must be non-negative: {self}")
 
     def check(self, m: int, d: int) -> None:
         """Raise InstanceTooLargeError if m items into d parts exceed the bounds."""
@@ -163,10 +168,10 @@ def _upper_bound(
 def _search(
     items: Sequence[Value], l: int, scale: Sequence[int], lex_first: bool,
     limits: SearchLimits,
-) -> tuple[Value, PartitionAssignment]:
+) -> tuple[Value, tuple[int, ...]]:
     # The search of the module docstring: the best sum of the l smallest keys
-    # and an assignment over the canonical (non-increasing) item order that
-    # reaches it. l > 1 needs unit scale: part sums are keys there.
+    # and the part of each item in canonical (non-increasing) order reaching
+    # it, zeros in part 0. l > 1 needs unit scale: part sums are keys there.
     d = len(scale)
     if l:  # l = 0 is the empty union: no search, so nothing to refuse
         limits.check(len(items), d)
@@ -174,7 +179,7 @@ def _search(
     m = len(canonical) - canonical.count(0)
     zeros = (0,) * (len(canonical) - m)
     if m == 0 or l == 0:  # no item, or the empty union: all to part 0
-        return 0, PartitionAssignment((0,) * len(canonical), d)
+        return 0, (0,) * len(canonical)
     # dfs recurses once per nonzero item; 100 frames are left to the callers.
     if m > sys.getrecursionlimit() - 100:
         raise InstanceTooLargeError(_TOO_DEEP.format(m))
@@ -270,12 +275,12 @@ def _search(
             raise InstanceTooLargeError(_TOO_DEEP.format(m)) from None
     # Raised explicitly, not asserted, so that `python -O` keeps the check.
     # The lex-first optimum beats its start, so no witness at all is a fault.
-    witness = None if best_assign is None else PartitionAssignment(best_assign + zeros, d)
-    if witness is None or min_l_union(
-        list(map(mul, witness.part_sums(canonical), scale)), l
-    ) != best:
+    keys = [0] * d
+    for v, k in zip(items, best_assign or ()):  # zeros add nothing
+        keys[k] += v * scale[k]
+    if best_assign is None or min_l_union(keys, l) != best:
         raise AssertionError(f"witness {best_assign} does not reach {best}")
-    return best, witness
+    return best, best_assign + zeros
 
 
 def mms(
@@ -288,7 +293,8 @@ def mms(
     order of first use. Raises InstanceTooLargeError beyond `limits`,
     except for l == 0, which needs no search.
     """
-    return MmsResult(*_search(instance.items, pair.l, (1,) * pair.d, True, limits))
+    value, part_of = _search(instance.items, pair.l, (1,) * pair.d, True, limits)
+    return MmsResult(value, PartitionAssignment(part_of, pair.d))
 
 
 def mms_cardinality(m: int, pair: MmsPair) -> int:

@@ -203,8 +203,8 @@ def notion_separation_scan(
     """Scan every multiset of 1..max_items values from `value_grid` against
     every entitlement vector; sample deterministically when the multiset
     count exceeds `max_instances`. Rows are sorted by instance encoding."""
-    if max_instances is not None and max_instances < 0:
-        raise ValueError(f"max_instances must be non-negative, got {max_instances}")
+    if max_items < 0 or max_instances is not None and max_instances < 0:
+        raise ValueError(f"need max_items, max_instances >= 0: {max_items}, {max_instances}")
     rows = []
     tables = ShareTables()  # one for all rows: see ShareTables
     for items in _instances(max_items, value_grid, max_instances, seed):

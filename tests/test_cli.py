@@ -57,6 +57,23 @@ def test_mms_size_refusal_exit_3(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mms", "--items", "1,2", "--pair", "1/2", "--max-parts", "-5"],
+         "search limits must be non-negative: SearchLimits(max_items=16, max_parts=-5)"),
+        (["scan", "--max-items", "-1", "--values", "1", "--entitlements", "1/2,1/2"],
+         "search limits must be non-negative: SearchLimits(max_items=-1, max_parts=10)"),
+    ],
+)
+def test_negative_search_bound_is_a_usage_error_exit_2(capsys, argv, message):
+    # A negative bound is a bad option, not an instance too large to search.
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
 def test_mms_recursion_depth_refusal_exit_3(capsys):
     # Raised bounds let the search reach Python's recursion limit: a refusal
     # (exit 3), not a traceback and exit 1.

@@ -501,8 +501,15 @@ def test_weighted_search_raises_when_start_is_never_beaten(monkeypatch):
         weighted_maximin_partition(INTRO, normalized(1, 1))
 
 
+def _misreport_witness_keys(monkeypatch):
+    # The witness check sums the l smallest keys with `engine.min_l_union`:
+    # one less than the real sum is a witness that misses the value.
+    real = engine.min_l_union
+    monkeypatch.setattr(engine, "min_l_union", lambda keys, l: real(keys, l) - 1)
+
+
 def test_weighted_search_raises_when_witness_misses_ratio(monkeypatch):
-    monkeypatch.setattr(PartitionAssignment, "part_sums", lambda self, items: [0] * self.d)
+    _misreport_witness_keys(monkeypatch)
     with pytest.raises(AssertionError, match="does not reach"):
         weighted_maximin_partition(INTRO, normalized(1, 1))
 
@@ -515,7 +522,7 @@ def test_value_only_witness_is_rechecked(monkeypatch, instance, t):
     # The value-only shares and WMMS re-check their witness as well: after a
     # search (INTRO at 1/3, 2/3) and when the greedy partition meets the
     # root bound and no search runs (four equal items at 1/2, 1/2).
-    monkeypatch.setattr(PartitionAssignment, "part_sums", lambda self, items: [0] * self.d)
+    _misreport_witness_keys(monkeypatch)
     with pytest.raises(AssertionError, match="does not reach"):
         wmms_value(instance, EntitlementVector(tuple(t)), 0)
     with pytest.raises(AssertionError, match="does not reach"):

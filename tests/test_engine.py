@@ -221,6 +221,12 @@ def test_mms_cardinality_known_values():
     assert mms_cardinality(4, MmsPair(0, 3)) == 0
 
 
+@pytest.mark.parametrize("bounds", [{"max_items": -1}, {"max_parts": -5}])
+def test_negative_search_limits_are_rejected(bounds):
+    with pytest.raises(ValueError, match="search limits must be non-negative"):
+        SearchLimits(**bounds)
+
+
 def test_mms_cardinality_rejects_negative_item_count():
     with pytest.raises(ValueError, match="non-negative"):
         mms_cardinality(-1, MmsPair(1, 3))
@@ -527,11 +533,11 @@ def test_value_only_share_takes_no_node_when_the_start_meets_the_root(
     # share itself, the l - (d - m) smallest items (2, 2 and 4 nodes under
     # the plain l*T//d).
     args = (instance.items, pair.l, (1,) * pair.d, False, SearchLimits())
-    share, witness = engine._search(*args)
+    share, part_of = engine._search(*args)
     assert share == value
     if pair == MmsPair(5, 7):  # the cap binds at j = 5 with C_j = 10
         # The 10 largest items are in parts 0-4, the other 6 in parts 5-6.
-        assert max(witness.part_of[:10]) <= 4 < min(witness.part_of[10:])
+        assert max(part_of[:10]) <= 4 < min(part_of[10:])
     assert dfs_calls(engine._search, 0, *args) == 0
 
 
@@ -583,8 +589,9 @@ def test_value_only_route_matches_the_lex_first_values():
         else:
             weights = [rng.randint(1, 4) for _ in range(d)]
             l, scale = 1, tuple(math.lcm(*weights) // w for w in weights)
-        value, witness = engine._search(values, l, scale, False, limits)
+        value, part_of = engine._search(values, l, scale, False, limits)
         assert value == engine._search(values, l, scale, True, limits)[0], (values, l, scale)
+        witness = PartitionAssignment(part_of, len(scale))
         keys = map(operator.mul, witness.part_sums(sorted(values, reverse=True)), scale)
         assert min_l_union(list(keys), l) == value
 

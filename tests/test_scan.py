@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from mmsfair import criteria, scan
+from mmsfair import core, criteria, scan
 from mmsfair.core import EntitlementVector, Instance, InstanceTooLargeError
 from mmsfair.criteria import bmms_value, weighted_maximin_partition
 from mmsfair.engine import mms
@@ -158,6 +158,42 @@ def test_report_serialization_round_trip():
 def test_scan_rejects_negative_max_instances():
     with pytest.raises(ValueError, match="max_instances"):
         notion_separation_scan(2, [40, 60], [T_40_60], max_instances=-1)
+
+
+def test_scan_rejects_negative_max_items():
+    with pytest.raises(ValueError, match="max_items, max_instances >= 0: -1, None"):
+        notion_separation_scan(-1, [40, 60], [T_40_60])
+
+
+def test_scan_takes_each_vector_keys_once_and_builds_no_witness(monkeypatch):
+    # Each vector computes its WMMS keys when it is built, and the scan's
+    # value-only searches return a bare assignment: no PartitionAssignment.
+    keyed = []
+    real_keys = core.ratio_keys
+
+    def counted_keys(entitlements):
+        keyed.append(entitlements)
+        return real_keys(entitlements)
+
+    monkeypatch.setattr(core, "ratio_keys", counted_keys)
+    monkeypatch.setattr(criteria, "ratio_keys", counted_keys)
+    grid = [T_40_60, T_SKEW, T_74_26]
+    grid = [EntitlementVector(t.entitlements) for t in grid]
+    assert len(keyed) == len(grid)
+    built = []
+    real_init = core.PartitionAssignment.__post_init__
+
+    def counted_init(self):
+        built.append(self.part_of)
+        real_init(self)
+
+    monkeypatch.setattr(core.PartitionAssignment, "__post_init__", counted_init)
+    report = notion_separation_scan(3, [0, 7, 19, 31], grid)
+    assert len(report.rows) == 34 * len(grid)  # 4 + 10 + 20 multisets
+    assert len(keyed) == len(grid) and built == []
+    # The witness routes still build one, so the count above sees them.
+    weighted_maximin_partition(Instance((7, 19)), T_40_60.entitlements)
+    assert len(built) == 1 and len(keyed) == len(grid) + 1
 
 
 def test_scan_computes_each_share_once_per_instance(monkeypatch):
