@@ -107,12 +107,12 @@ def _exec_pairs(inputs: dict) -> tuple[int, dict]:
     m = _int(inputs["item_count"])
     candidates = candidate_pairs(a, m)
     trace = filtration_trace(a, m, candidates)
-    removed = {t.removed for t in trace}
+    removed = {t.removed.d for t in trace}  # each candidate has its own d
     outputs = {
         "entitlement": format_rational(a),
         "item_count": m,
         "candidates": [str(p) for p in candidates],
-        "survivors": [str(p) for p in candidates if p not in removed],
+        "survivors": [str(p) for p in candidates if p.d not in removed],
         "trace": [
             {"removed": str(t.removed), "by": str(t.by), "q": t.q, "r": t.r}
             for t in trace
@@ -252,13 +252,12 @@ def _load_items(args: argparse.Namespace) -> list[int]:
     return list(parse_items(args.items if args.items is not None else "").items)
 
 
+def _search_inputs(args: argparse.Namespace) -> dict:
+    return {"items": _load_items(args), "max_items": args.max_items, "max_parts": args.max_parts}
+
+
 def _build_mms_inputs(args: argparse.Namespace) -> dict:
-    return {
-        "items": _load_items(args),
-        "pair": args.pair,
-        "max_items": args.max_items,
-        "max_parts": args.max_parts,
-    }
+    return {"pair": args.pair, **_search_inputs(args)}
 
 
 def _build_dominates_inputs(args: argparse.Namespace) -> dict:
@@ -282,12 +281,10 @@ def _parse_allocation(text: str) -> list[list[int]]:
 def _build_audit_inputs(args: argparse.Namespace) -> dict:
     criteria = [c for c in (args.criteria or "").split(",") if c]
     return {
-        "items": _load_items(args),
         "entitlements": [s.strip() for s in args.entitlements.split(",") if s.strip()],
         "allocation": _parse_allocation(args.allocation),
         "criteria": criteria or list(CRITERIA),
-        "max_items": args.max_items,
-        "max_parts": args.max_parts,
+        **_search_inputs(args),
     }
 
 
@@ -298,39 +295,13 @@ def _build_scan_inputs(args: argparse.Namespace) -> dict:
         if vector.strip()
     ]
     return {
-        "max_items": args.max_items_scan,
+        "max_items": args.max_items,
         "value_grid": list(parse_items(args.values or "").items),
         "entitlement_grid": entitlement_grid,
         "max_instances": args.max_instances,
         "seed": args.seed,
         "max_parts": args.max_parts,
     }
-
-
-def _add_max_parts_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-parts",
-        type=int,
-        default=DEFAULT_LIMITS.max_parts,
-        help="search safety bound on part count (default %(default)s)",
-    )
-
-
-def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-items",
-        type=int,
-        default=DEFAULT_LIMITS.max_items,
-        help="search safety bound on item count (default %(default)s)",
-    )
-    _add_max_parts_flag(parser)
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument(
-        "--record", metavar="FILE", help="write a replayable run record (JSON)"
-    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -357,29 +328,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
 
-    p_mms = sub.add_parser("mms", help="l-out-of-d share value and witness")
-    p_mms.add_argument("--items", help="comma/whitespace separated item values")
-    p_mms.add_argument("--items-file", help="file with item values (text or JSON array)")
-    p_mms.add_argument("--pair", required=True, help="share condition as l/d")
-    _add_limit_flags(p_mms)
-    _add_common_flags(p_mms)
+    # The flags that several subcommands share, as parents each built on the last.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true", help="machine-readable output")
+    output.add_argument(
+        "--record", metavar="FILE", help="write a replayable run record (JSON)"
+    )
+    parts = argparse.ArgumentParser(add_help=False, parents=[output])
+    parts.add_argument(
+        "--max-parts",
+        type=int,
+        default=DEFAULT_LIMITS.max_parts,
+        help="search safety bound on part count (default %(default)s)",
+    )
+    search = argparse.ArgumentParser(add_help=False, parents=[parts])
+    search.add_argument("--items", help="comma/whitespace separated item values")
+    search.add_argument("--items-file", help="file with item values (text or JSON array)")
+    search.add_argument(
+        "--max-items",
+        type=int,
+        default=DEFAULT_LIMITS.max_items,
+        help="search safety bound on item count (default %(default)s)",
+    )
 
-    p_dom = sub.add_parser("dominates", help="does (l,d) dominate (l',d')?")
+    p_mms = sub.add_parser("mms", parents=[search], help="l-out-of-d share value and witness")
+    p_mms.add_argument("--pair", required=True, help="share condition as l/d")
+
+    p_dom = sub.add_parser("dominates", parents=[output], help="does (l,d) dominate (l',d')?")
     p_dom.add_argument("l", type=int)
     p_dom.add_argument("d", type=int)
     p_dom.add_argument("l_prime", type=int)
     p_dom.add_argument("d_prime", type=int)
-    _add_common_flags(p_dom)
 
-    p_pairs = sub.add_parser("pairs", help="non-dominated conditions for an entitlement")
+    p_pairs = sub.add_parser(
+        "pairs", parents=[output], help="non-dominated conditions for an entitlement"
+    )
     p_pairs.add_argument("--entitlement", required=True, help='entitlement, "p/q" or decimal')
     p_pairs.add_argument("--items-count", required=True, type=int)
     p_pairs.add_argument("--trace", action="store_true", help="show every filtration step")
-    _add_common_flags(p_pairs)
 
-    p_audit = sub.add_parser("audit", help="audit an allocation against the criteria")
-    p_audit.add_argument("--items", help="comma/whitespace separated item values")
-    p_audit.add_argument("--items-file", help="file with item values (text or JSON array)")
+    p_audit = sub.add_parser(
+        "audit", parents=[search], help="audit an allocation against the criteria"
+    )
     p_audit.add_argument(
         "--entitlements", required=True, help='comma separated, e.g. "0.4,0.6"'
     )
@@ -391,13 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument(
         "--criteria", default="", help="subset of omms,wmms,bmms (default: all)"
     )
-    _add_limit_flags(p_audit)
-    _add_common_flags(p_audit)
 
-    p_scan = sub.add_parser("scan", help="notion separation sweep over small grids")
+    p_scan = sub.add_parser(
+        "scan", parents=[parts], help="notion separation sweep over small grids"
+    )
     p_scan.add_argument(
         "--max-items",
-        dest="max_items_scan",
         type=int,
         default=2,
         help="largest multiset size to enumerate (default %(default)s)",
@@ -411,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--max-instances", type=int, default=None)
     p_scan.add_argument("--seed", type=int, default=0)
     p_scan.add_argument("--out", metavar="FILE", help="write the CSV report here")
-    _add_max_parts_flag(p_scan)
-    _add_common_flags(p_scan)
 
     return parser
 

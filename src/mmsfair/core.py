@@ -135,7 +135,13 @@ class PartitionAssignment:
 
 
 def ratio_keys(entitlements: Sequence[Fraction]) -> tuple[int, int, tuple[int, ...]]:
-    """WMMS integer keys (W, L, c) of positive entitlements: see `criteria`."""
+    """WMMS integer keys (W, L, c) of one or more entitlements, each of them
+    positive (else ValueError): see `criteria`."""
+    if not entitlements:
+        raise ValueError("at least one agent is required")
+    for t in entitlements:
+        if t <= 0:
+            raise ValueError(f"entitlements must be positive, got {t}")
     den = lcm(*(t.denominator for t in entitlements))
     weights = [t.numerator * (den // t.denominator) for t in entitlements]
     top = lcm(*weights)
@@ -155,15 +161,10 @@ class EntitlementVector:
         object.__setattr__(
             self, "entitlements", tuple(Fraction(t) for t in self.entitlements)
         )
-        if not self.entitlements:
-            raise ValueError("at least one agent is required")
-        for t in self.entitlements:
-            if t <= 0:
-                raise ValueError(f"entitlements must be positive, got {t}")
+        object.__setattr__(self, "wmms_keys", ratio_keys(self.entitlements))
         total = sum(self.entitlements)
         if total != 1:
             raise ValueError(f"entitlements must sum to 1, got {total}")
-        object.__setattr__(self, "wmms_keys", ratio_keys(self.entitlements))
         object.__setattr__(self, "lowest_terms", tuple(t.as_integer_ratio() for t in self))
 
     def __len__(self) -> int:

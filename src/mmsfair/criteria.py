@@ -114,11 +114,6 @@ def weighted_maximin_partition(
     those groups and nowhere else. The assignment refers to canonical
     (non-increasing) item order and is deterministic.
     """
-    if not entitlements:
-        raise ValueError("at least one agent is required")
-    for t in entitlements:
-        if t <= 0:
-            raise ValueError(f"entitlements must be positive, got {t}")
     den, top, scale = ratio_keys(entitlements)
     best_key, part_of = _search(instance.items, 1, scale, True, limits)
     return Fraction(best_key * den, top), PartitionAssignment(part_of, len(scale))
@@ -131,7 +126,8 @@ def wmms_value(
     limits: SearchLimits = DEFAULT_LIMITS,
 ) -> Fraction:
     """Weighted share of agent i: t_i times the best achievable
-    min_j V(part_j) / t_j."""
+    min_j V(part_j) / t_j. Each call runs one weighted search;
+    `agent_shares`, and so `audit`, runs one for all agents."""
     if not 0 <= i < len(t):
         raise ValueError(f"agent index {i} outside 0..{len(t) - 1}")
     den, top, scale = t.wmms_keys

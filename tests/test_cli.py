@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from mmsfair.cli import _render_scan, execute, main
+from mmsfair.cli import COMMANDS, _render_scan, build_parser, execute, main
 
 
 def run(capsys, *argv):
@@ -748,3 +748,50 @@ def test_single_dash_help_is_still_an_option(capsys):
     code, out, err = run(capsys, "mms", "-h")
     assert (code, err) == (0, "")
     assert out.startswith("usage: mmsfair mms")
+
+
+_JSON_HELP = ["machine-readable output", "write a replayable run record (JSON)"]
+_ITEMS_HELP = [
+    "comma/whitespace separated item values",
+    "file with item values (text or JSON array)",
+]
+_LIMITS_HELP = [
+    "search safety bound on item count (default 16)",
+    "search safety bound on part count (default 10)",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, helps",
+    [
+        (["mms", "--pair", "1/2"],
+         {"items": [], "pair": "1/2", "max_items": 16, "max_parts": 10},
+         [*_ITEMS_HELP, "share condition as l/d", *_LIMITS_HELP, *_JSON_HELP]),
+        (["dominates", "1", "2", "1", "3"], {"pair": "1/2", "other": "1/3"}, _JSON_HELP),
+        (["pairs", "--entitlement", "1/3", "--items-count", "5"],
+         {"entitlement": "1/3", "item_count": 5},
+         ['entitlement, "p/q" or decimal', "show every filtration step", *_JSON_HELP]),
+        (["audit", "--entitlements", "1/2,1/2", "--allocation", ""],
+         {"items": [], "entitlements": ["1/2", "1/2"], "allocation": [[]],
+          "criteria": ["omms", "wmms", "bmms"], "max_items": 16, "max_parts": 10},
+         [*_ITEMS_HELP, 'comma separated, e.g. "0.4,0.6"',
+          'bundles of item indices, ";"-separated, e.g. "0,3;1,2;4" (empty allowed)',
+          "subset of omms,wmms,bmms (default: all)", *_LIMITS_HELP, *_JSON_HELP]),
+        (["scan"],
+         {"max_items": 2, "value_grid": [], "entitlement_grid": [],
+          "max_instances": None, "seed": 0, "max_parts": 10},
+         ["largest multiset size to enumerate (default 2)", 'value grid, e.g. "0,40,60"',
+          'entitlement vectors, ";"-separated, e.g. "0.4,0.6;0.6,0.2,0.2"',
+          "write the CSV report here", _LIMITS_HELP[1], *_JSON_HELP]),
+    ],
+)
+def test_minimal_argv_builds_every_default_input(capsys, argv, inputs, helps):
+    # What the parser hands to `execute`, with every default spelled out, and
+    # each flag's help in that subcommand's --help (wrapping ignored).
+    args = build_parser().parse_args(argv)
+    assert (args.json, args.record) == (False, None)
+    assert COMMANDS[argv[0]][0](args) == inputs
+    assert main([argv[0], "--help"]) == 0
+    shown = "".join(capsys.readouterr().out.split())
+    for text in helps:
+        assert "".join(text.split()) in shown, text

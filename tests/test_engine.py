@@ -692,3 +692,18 @@ def test_both_routes_refuse_past_the_depth_guard(lex_first):
     assert share(Instance((1,) * cap)) == cap // 2
     with pytest.raises(InstanceTooLargeError, match=f"{cap + 1} items exceed"):
         share(Instance((1,) * (cap + 1) + (0,) * 9))  # zeros do not count
+
+
+def test_deep_caller_overflow_is_a_refusal():
+    # The guard admits cap items (900 at Python's default limit), but a caller
+    # 200 frames deep leaves the search too few: its RecursionError becomes
+    # the same refusal.
+    cap = sys.getrecursionlimit() - 100
+
+    def deep(frames):
+        if frames:
+            return deep(frames - 1)
+        return mms(Instance((1,) * cap), MmsPair(1, 2), SearchLimits(max_items=cap, max_parts=2))
+
+    with pytest.raises(InstanceTooLargeError, match=f"{cap} items exceed its recursion depth"):
+        deep(200)
