@@ -47,6 +47,17 @@ def _int(value: object) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+class _Inputs(dict):
+    def __missing__(self, key: str) -> object:  # refused like any malformed input
+        raise ValueError(f"missing input {key!r}")
+
+
+def _list(value: object, name: str, each=None) -> tuple:
+    if not isinstance(value, (list, tuple)):  # a string would be read char by char
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return tuple(value if each is None else map(each, value))
+
+
 def _limits(inputs: dict) -> SearchLimits:
     return SearchLimits(
         max_items=_int(inputs.get("max_items", DEFAULT_LIMITS.max_items)),
@@ -59,11 +70,11 @@ def execute(command: str, inputs: dict) -> tuple[int, dict]:
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     _, run, _ = COMMANDS[command]
-    return run(inputs)
+    return run(_Inputs(inputs))
 
 
 def _exec_mms(inputs: dict) -> tuple[int, dict]:
-    instance = Instance(tuple(inputs["items"]))
+    instance = Instance(_list(inputs["items"], "items"))
     pair = MmsPair.parse(inputs["pair"])
     result = mms(instance, pair, _limits(inputs))
     canonical = canonicalize(instance)
@@ -122,10 +133,11 @@ def _exec_pairs(inputs: dict) -> tuple[int, dict]:
 
 
 def _exec_audit(inputs: dict) -> tuple[int, dict]:
-    instance = Instance(tuple(inputs["items"]))
-    t = EntitlementVector(tuple(parse_rational(s) for s in inputs["entitlements"]))
-    alloc = Allocation.from_lists(inputs["allocation"])
-    criteria = list(inputs.get("criteria") or CRITERIA)
+    instance = Instance(_list(inputs["items"], "items"))
+    t = EntitlementVector(_list(inputs["entitlements"], "entitlements", parse_rational))
+    bundles = _list(inputs["allocation"], "allocation")
+    alloc = Allocation.from_lists([_list(b, "allocation bundle") for b in bundles])
+    criteria = list(_list(inputs.get("criteria") or CRITERIA, "criteria"))
     check_criteria(criteria)
     report = audit(instance, t, alloc, _limits(inputs))
     all_ok = report.all_ok(criteria)
@@ -153,10 +165,10 @@ def _exec_audit(inputs: dict) -> tuple[int, dict]:
 
 
 def _exec_scan(inputs: dict) -> tuple[int, dict]:
-    value_grid = [_int(v) for v in inputs.get("value_grid", [])]
+    value_grid = _list(inputs.get("value_grid", []), "value_grid", _int)
     entitlement_grid = [
-        EntitlementVector(tuple(parse_rational(s) for s in vector))
-        for vector in inputs.get("entitlement_grid", [])
+        EntitlementVector(_list(vector, "entitlement vector", parse_rational))
+        for vector in _list(inputs.get("entitlement_grid", []), "entitlement_grid")
     ]
     max_instances = inputs.get("max_instances")
     report = notion_separation_scan(

@@ -25,7 +25,7 @@ with L = lcm(w) and c_j = L // w_j, each ratio s/t_j is s*c_j * W/L. An
 `EntitlementVector` keeps (W, L, c) and each t_i = p/q from when it is
 built; the search compares the integer keys s*c_j, and agent i's WMMS is
 the one Fraction p*key*W / (q*L). The search is `engine._search` at l = 1
-with scale c_j, parts of equal entitlement opened in order. `engine` states
+with scale c_j, parts of equal entitlement as twins. `engine` states
 its rules and its routes: `weighted_maximin_partition` takes the lex-first
 one, the shares and WMMS of `agent_shares` and `wmms_value` the value-only
 one. BMMS bisects the sorted subset sums for t_i*T and scores the two on

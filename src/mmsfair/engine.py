@@ -7,9 +7,9 @@ sum of the l smallest keys s_j*scale[j] (s_j: part sums). `mms` has unit
 scale; WMMS has l = 1 and scale c_j; l > 1 comes with unit scale only.
 It is the one entry, so it alone decides whether a search runs: at l >= 1
 it refuses past the caller's `SearchLimits`, then past its recursion depth.
-Parts of one scale are interchangeable, so part j opens only once its twin,
-the previous part of the same scale, is in use: the part before at unit
-scale, the previous agent of equal entitlement in WMMS. The search walks the
+A part takes an item only when its sum differs from its twin's, the previous
+part of its scale (of equal entitlement in WMMS): swapping the two labels
+from that item on keeps all keys and lowers the vector. The search walks the
 assignments depth first in lex order, keeps strict improvements only and
 stops at the root bound l*T*C // sum(C // scale[j]), C = lcm(scale). At
 unit scale the root is the least count cap over j = l..d: the j parts with
@@ -245,7 +245,7 @@ def _search(
                 # No key rises by more than v*top, nor past the ceiling.
                 if base + min(v * top, ceiling - asc[0]) <= best:
                     return False
-                # No twin check: an empty twin's lex-earlier twin scores the same.
+                # No twin check: an equal-sum twin's lex-earlier twin scores the same.
                 for k in range(first, d):
                     s = keys[k]
                     gain = min(v * scale[k], ceiling - s)
@@ -259,8 +259,8 @@ def _search(
                 return best == root
             for k in range(first, d):
                 s = sums[k]
-                # An unused part opens only once its previous twin is in use.
-                if not s and twin_before[k] >= 0 and not sums[twin_before[k]]:
+                # A part whose previous twin has the same sum is a relabelling.
+                if twin_before[k] >= 0 and sums[twin_before[k]] == s:
                     continue
                 sums[k] = s + v
                 assign[i] = k

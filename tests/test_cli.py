@@ -440,6 +440,40 @@ def test_execute_audit_refuses_fractional_item_indices():
         execute("audit", inputs)
 
 
+_AUDIT = {"items": [1, 2, 3], "entitlements": ["1/2", "1/2"], "allocation": [[0], [1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "command, inputs, field",
+    [
+        ("mms", {"items": None, "pair": "1/2"}, "items"),
+        ("mms", {"items": 5, "pair": "1/2"}, "items"),
+        ("mms", {"items": "12", "pair": "1/2"}, "items"),
+        ("mms", {"items": [1]}, "'pair'"),
+        ("dominates", {"pair": "1/2"}, "'other'"),
+        ("pairs", {"entitlement": "1/2"}, "'item_count'"),
+        ("audit", dict(_AUDIT, allocation=5), "allocation"),
+        ("audit", dict(_AUDIT, allocation=[5, [1]]), "allocation bundle"),
+        ("audit", dict(_AUDIT, entitlements="1/2"), "entitlements"),
+        ("audit", {"items": [1], "entitlements": ["1"]}, "'allocation'"),
+        ("audit", dict(_AUDIT, criteria="omms"), "criteria"),
+        ("scan", dict(_SCAN, value_grid="12"), "value_grid"),
+        ("scan", dict(_SCAN, entitlement_grid="1/2"), "entitlement_grid"),
+        ("scan", dict(_SCAN, entitlement_grid=[5]), "entitlement vector"),
+    ],
+    ids=["items-none", "items-int", "items-str", "no-pair", "no-other",
+         "no-item-count", "allocation-int", "bundle-int", "entitlements-str",
+         "no-allocation", "criteria-str", "value-grid-str", "entitlement-grid-str",
+         "vector-int"],
+)
+def test_execute_refuses_malformed_inputs_naming_the_field(command, inputs, field):
+    # A hand-edited record gets a ValueError (exit 2 from the CLI), never a
+    # TypeError or KeyError, and a string is not read character by character.
+    with pytest.raises(ValueError, match="missing input|must be a") as refused:
+        execute(command, inputs)
+    assert str(refused.value).startswith(("missing input " + field, field))
+
+
 def test_module_entry_point_subprocess():
     import subprocess
     import sys

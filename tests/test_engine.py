@@ -473,8 +473,9 @@ def test_search_strength_is_pinned(dfs_calls):
 def test_search_strength_is_pinned_above_l_one(dfs_calls, m, pair, nodes):
     # Near-equal items at l >= 2, where the search places the remaining
     # items as whole units in its bound. With the fractional bound alone they
-    # take 3,839, 13,675 and 1,351,184 nodes and pass the pin, about four
-    # times today's count.
+    # take 3,563, 13,125 and 1,249,154 nodes and pass the pin, over four
+    # times the pinned count. With equal-sum twins the search takes 281,
+    # 1,534 and 19,657.
     values = tuple(10**6 + (37 * k) % 51 for k in range(m))
     bound = 4 * nodes
     assert dfs_calls(mms, bound, Instance(values), pair) <= bound
@@ -498,10 +499,21 @@ def test_search_strength_is_pinned_by_count_caps(dfs_calls, values, pair, nodes)
     # Near-equal items where few items fit in the smallest parts, so the
     # count cap lowers the root bound to the optimum and the search stops at
     # the lex-first witness. With the root bound l*T//d alone the first
-    # three take 737,464, 854,154 and 1,158,563 nodes. The last starts from
-    # the cap's partition; from the greedy partition alone it takes 8,549.
+    # three take 673,487, 775,322 and 966,922 nodes. The last starts from
+    # the cap's partition; from the greedy partition alone it takes 5,328.
+    # With equal-sum twins the search takes 46, 42, 4,147 and 730.
     bound = 4 * nodes
     assert dfs_calls(mms, bound, Instance(values), pair) <= bound
+
+
+def test_search_strength_is_pinned_by_equal_sum_twins(dfs_calls):
+    # Near-equal items with five values, so many part sums tie: a part whose
+    # previous twin has the same sum is skipped, 170 nodes. Skipping only
+    # empty twins takes 580, so this pin has its own bound of twice the
+    # count, where the 4x pins above would pass the weaker rule.
+    values = tuple(10**6 + (37 * k) % 5 for k in range(14))
+    bound = 2 * 170
+    assert dfs_calls(mms, bound, Instance(values), MmsPair(3, 6)) <= bound
 
 
 def _spread(k, seed):
@@ -527,8 +539,8 @@ def test_value_only_share_takes_no_node_when_the_start_meets_the_root(
 ):
     # The count cap proves the start optimal here, so the value-only share
     # runs no search. On the first three the start is the greedy partition,
-    # and for its lex-first witness `mms` takes 546,279, 682,203 and 766,360
-    # nodes on the same items. At 5/7 it is the cap's partition (5,222 nodes
+    # and for its lex-first witness `mms` takes 546,279, 682,203 and 506,185
+    # nodes on the same items. At 5/7 it is the cap's partition (3,788 nodes
     # from the greedy one). With at most d items the cap at j = d is the
     # share itself, the l - (d - m) smallest items (2, 2 and 4 nodes under
     # the plain l*T//d).
