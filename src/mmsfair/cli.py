@@ -69,6 +69,8 @@ def execute(command: str, inputs: dict) -> tuple[int, dict]:
     """Pure dispatch from JSON-able inputs to (exit code, JSON-able outputs)."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
+    if not isinstance(inputs, dict):  # _Inputs(None) would raise a TypeError
+        raise ValueError(f"inputs must be a dict, got {inputs!r}")
     _, run, _ = COMMANDS[command]
     return run(_Inputs(inputs))
 

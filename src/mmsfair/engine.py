@@ -28,25 +28,29 @@ optimum, which no rule cuts. The value-only route (`audit`, `scan`,
 only if that is below the root bound, which would prove it optimal. Zeros go
 to part 0 outside the search. An item equal to its predecessor never goes
 to an earlier part (swapping equal items keeps the part sums and lowers the
-vector). At l > 1 an upper bound cuts subtrees that cannot beat the
-incumbent. With b the smallest item and r items left, every completion ends
-at part sums s_j + n_j*b + x_j, integers n_j >= 0 summing to r and x_j >= 0
-summing to E = rest - r*b. The bound puts each of the r units of b on the
-then smallest part and pours E fractionally onto the smallest parts
-(water-filling). The poured sum of the l smallest is symmetric and concave
-in the part sums, so Schur-concave, and the greedy placement is majorized
-by every other: no completion beats it. At E >= d*b the pour covers every
-part that took a unit (each lies within b of the smallest part), so it
-equals pouring all of rest; units are placed only below that. At l = 1
-beating best puts every key at best + 1 or more, so each part needs its own
-items up to its floor ceil((best + 1) / scale[j]): the shortfalls must fit
-in the remaining value, and the fewest of the largest remaining items that
-cover each must fit in the remaining count (this cuts all that
-water-filling would). The last item is placed by formula, after one cut
-for every l: no key rises by more than v*lcm(scale) or past the l+1-th
-smallest. `_search` returns the value and a bare assignment, whose keys it
-re-checks on every call; only `mms` and `weighted_maximin_partition` build
-a `PartitionAssignment`. `mms_cardinality` is the share of m unit items.
+vector). Each node is tested in its parent's loop, once its item is placed,
+and a node that fails is never entered: a node is a call of `dfs`, and the
+root is entered untested. At l > 1 an upper bound cuts subtrees that cannot
+beat the incumbent. With b the smallest item and r items left, every
+completion ends at part sums s_j + n_j*b + x_j, integers n_j >= 0 summing to
+r and x_j >= 0 summing to E = rest - r*b. The bound puts each of the r units
+of b on the then smallest part and pours E fractionally onto the smallest
+parts (water-filling). The poured sum of the l smallest is symmetric and
+concave in the part sums, so Schur-concave, and the greedy placement is
+majorized by every other: no completion beats it. At E >= d*b the pour
+covers every part that took a unit (each lies within b of the smallest
+part), so it equals pouring all of rest; units are placed only below that.
+The units and the pour depend on the depth alone, so they are built once per
+search. At l = 1 beating best puts every key at best + 1 or more, so each part
+needs its own items up to its floor ceil((best + 1) / scale[j]): the
+shortfalls must fit in the remaining value, and the fewest of the largest
+remaining items that cover each must fit in the remaining count (this cuts
+all that water-filling would). The last item is placed by formula, after
+one cut for every l (at l > 1 in place of the bound): no key rises by more
+than v*lcm(scale) or past the l+1-th smallest. `_search` returns the value
+and a bare assignment, whose keys it re-checks on every call; only `mms` and
+`weighted_maximin_partition` build a `PartitionAssignment`. `mms_cardinality`
+is the share of m unit items.
 """
 from __future__ import annotations
 
@@ -140,31 +144,6 @@ def _count_cap(prefix: list[Value], l: int, d: int) -> tuple[Value, int, int]:
     return cap, split, count
 
 
-def _upper_bound(
-    asc: list[Value], rest: Value, l: int, d: int, r: int, small: Value
-) -> Value:
-    # The module docstring's bound for r items of at least `small` that sum
-    # to `rest` (`asc`: part sums, ascending; reordered in place).
-    if rest < (r + d) * small:
-        for _ in range(r):
-            heapreplace(asc, asc[0] + small)
-        asc.sort()
-        rest -= r * small
-    # The water covers the k smallest parts.
-    water = rest
-    for k in range(1, d):
-        water += asc[k - 1]
-        if water <= k * asc[k]:
-            break
-    else:
-        k = d
-        water += asc[-1]
-    if k >= l:
-        return l * water // k
-    # The water settles below the l-th part: the l smallest absorb it all.
-    return water + sum(asc[k:l])
-
-
 def _search(
     items: Sequence[Value], l: int, scale: Sequence[int], lex_first: bool,
     limits: SearchLimits,
@@ -214,26 +193,14 @@ def _search(
         sums = [0] * d
         last = m - 1
         small = items[last]
+        if l > 1:  # by depth: the bound's whole units of small, then its pour
+            units = [m - j if total - prefix[j] < (m - j + d) * small else 0 for j in range(m)]
+            pours = [total - prefix[j] - n * small for j, n in enumerate(units)]
 
         def dfs(i: int) -> bool:
-            # Returns True once the incumbent meets the root bound.
+            # Returns True once the incumbent meets the root bound; tests each child.
             nonlocal best, best_assign
             v = items[i]
-            if l > 1:
-                # The scale is 1 here, so the part sums are the keys.
-                if i < last and _upper_bound(
-                    sorted(sums), total - prefix[i], l, d, m - i, small
-                ) <= best:
-                    return False
-            else:
-                base = prefix[i]
-                need = count = 0
-                for short in map(sub, floors, sums):
-                    if short > 0:
-                        need += short
-                        count += bisect_left(prefix, base + short, i) - i
-                if need > total - base or count > m - i:
-                    return False
             first = assign[i - 1] if i and v == items[i - 1] else 0
             if i == last:
                 # Adding g to a key s below the ceiling (the l+1-th smallest key;
@@ -257,14 +224,43 @@ def _search(
                         for j, c in enumerate(scale):
                             floors[j] = -(-(best + 1) // c)
                 return best == root
+            j = i + 1
+            base, rest, left = prefix[j], total - prefix[j], m - j  # the child's items j..
             for k in range(first, d):
                 s = sums[k]
                 # A part whose previous twin has the same sum is a relabelling.
                 if twin_before[k] >= 0 and sums[twin_before[k]] == s:
                     continue
                 sums[k] = s + v
+                if l == 1:
+                    need = count = 0
+                    for short in map(sub, floors, sums):
+                        if short > 0:
+                            need += short
+                            count += bisect_left(prefix, base + short, j) - j
+                    if need > rest or count > left:
+                        sums[k] = s
+                        continue
+                elif j < last:  # the scale is 1 here, so the part sums are the keys
+                    asc = sorted(sums)
+                    for _ in range(units[j]):
+                        heapreplace(asc, asc[0] + small)
+                    asc.sort()
+                    # The water covers the h smallest parts.
+                    water = pours[j]
+                    for h in range(1, d):
+                        water += asc[h - 1]
+                        if water <= h * asc[h]:
+                            break
+                    else:
+                        h = d
+                        water += asc[-1]
+                    # Below the l-th part the l smallest absorb all the water.
+                    if (l * water // h if h >= l else water + sum(asc[h:l])) <= best:
+                        sums[k] = s
+                        continue
                 assign[i] = k
-                if dfs(i + 1):
+                if dfs(j):
                     return True
                 sums[k] = s
             return False

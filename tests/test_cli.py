@@ -460,11 +460,14 @@ _AUDIT = {"items": [1, 2, 3], "entitlements": ["1/2", "1/2"], "allocation": [[0]
         ("scan", dict(_SCAN, value_grid="12"), "value_grid"),
         ("scan", dict(_SCAN, entitlement_grid="1/2"), "entitlement_grid"),
         ("scan", dict(_SCAN, entitlement_grid=[5]), "entitlement vector"),
+        ("mms", None, "inputs"),
+        ("mms", "ab", "inputs"),
+        ("audit", [("items", [1])], "inputs"),
     ],
     ids=["items-none", "items-int", "items-str", "no-pair", "no-other",
          "no-item-count", "allocation-int", "bundle-int", "entitlements-str",
          "no-allocation", "criteria-str", "value-grid-str", "entitlement-grid-str",
-         "vector-int"],
+         "vector-int", "inputs-none", "inputs-str", "inputs-pairs"],
 )
 def test_execute_refuses_malformed_inputs_naming_the_field(command, inputs, field):
     # A hand-edited record gets a ValueError (exit 2 from the CLI), never a

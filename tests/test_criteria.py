@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
@@ -456,25 +457,35 @@ def test_sixteen_item_weighted_share_is_certified():
 
 @pytest.mark.parametrize(
     "entitlements, nodes",
-    [(normalized(1, 2, 3, 4), 137), (normalized(74, 13, 13), 25)],
+    [(normalized(1, 2, 3, 4), 37), (normalized(74, 13, 13), 12)],
 )
 def test_weighted_search_strength_is_pinned(dfs_calls, entitlements, nodes):
     # 12 near-equal items. Counting each part one item short in the
-    # item-count check keeps the answers but takes 1,014,461 and 4,146
-    # nodes; the bound, about four times today's count, fails it at once.
+    # item-count check keeps the answers but enters 431,485 and 1,935
+    # nodes; the bound, four times today's count, fails it at once.
     values = tuple(10**6 + (37 * k) % 51 for k in range(12))
     bound = 4 * nodes
     calls = dfs_calls(weighted_maximin_partition, bound, Instance(values), entitlements)
     assert calls <= bound
 
 
-def test_weighted_search_stops_at_the_root_bound(dfs_calls):
+def test_weighted_search_stops_at_the_root_bound(dfs_calls, monkeypatch):
     # Four equal agents on 12 equal items reach the root bound T/4 on the
-    # first partition that beats the greedy start; without the stop the
-    # search takes 21 nodes.
+    # first partition that beats the greedy start, after 12 nodes. At l = 1
+    # every child then fails the value check, so the stop saves no node, only
+    # the tests of the children still open: the item-count check makes 29
+    # lookups, and 53 without the stop.
+    lookups = 0
+
+    def counted(*args):
+        nonlocal lookups
+        lookups += 1
+        return bisect_left(*args)
+
+    monkeypatch.setattr(engine, "bisect_left", counted)
     instance = Instance((10**6,) * 12)
-    calls = dfs_calls(weighted_maximin_partition, 15, instance, normalized(1, 1, 1, 1))
-    assert calls <= 15
+    calls = dfs_calls(weighted_maximin_partition, 12, instance, normalized(1, 1, 1, 1))
+    assert calls <= 12 and lookups <= 29
 
 
 @settings(max_examples=200, deadline=None)

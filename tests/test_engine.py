@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import operator
@@ -459,23 +460,24 @@ def test_search_matches_middle_dp_past_oracle_reach(kind, seed):
 
 
 def test_search_strength_is_pinned(dfs_calls):
-    # 16 near-equal items at 1/3 take 534 nodes with the item-count check;
-    # water-filling alone, or counting each part one item short, takes
-    # 839,235. The bound fails a weaker prune at once.
+    # 16 near-equal items at 1/3 enter 37 nodes with the item-count check.
+    # Counting each part one item short enters 143,970, the whole-unit bound
+    # in its place 3,487 and plain water-filling 231,900; the root bound
+    # l*T//d alone 195 and the greedy start alone 178. The bound, twice the
+    # count, fails each of them at once.
     values = tuple(10**6 + (37 * k) % 51 for k in range(16))
-    assert dfs_calls(mms, 2000, Instance(values), MmsPair(1, 3)) <= 2000
+    assert dfs_calls(mms, 2 * 37, Instance(values), MmsPair(1, 3)) <= 2 * 37
 
 
 @pytest.mark.parametrize(
     "m, pair, nodes",
-    [(12, MmsPair(3, 4), 315), (12, MmsPair(4, 5), 1580), (14, MmsPair(2, 5), 20490)],
+    [(12, MmsPair(3, 4), 113), (12, MmsPair(4, 5), 420), (14, MmsPair(2, 5), 4394)],
 )
 def test_search_strength_is_pinned_above_l_one(dfs_calls, m, pair, nodes):
     # Near-equal items at l >= 2, where the search places the remaining
     # items as whole units in its bound. With the fractional bound alone they
-    # take 3,563, 13,125 and 1,249,154 nodes and pass the pin, over four
-    # times the pinned count. With equal-sum twins the search takes 281,
-    # 1,534 and 19,657.
+    # enter 2,133, 7,228 and 886,820 nodes and pass the pin, over four
+    # times the pinned count.
     values = tuple(10**6 + (37 * k) % 51 for k in range(m))
     bound = 4 * nodes
     assert dfs_calls(mms, bound, Instance(values), pair) <= bound
@@ -489,30 +491,29 @@ def _seeded_spread(seed, m=16):
 @pytest.mark.parametrize(
     "values, pair, nodes",
     [
-        (tuple(10**6 + (37 * k) % 51 for k in range(16)), MmsPair(4, 5), 61),
-        (_seeded_spread(50_000), MmsPair(4, 5), 47),
-        (_seeded_spread(50_001), MmsPair(2, 6), 33_845),
-        (_seeded_spread(1, 13), MmsPair(3, 6), 1_367),
+        (tuple(10**6 + (37 * k) % 51 for k in range(16)), MmsPair(4, 5), 20),
+        (_seeded_spread(50_000), MmsPair(4, 5), 20),
+        (_seeded_spread(50_001), MmsPair(2, 6), 944),
+        (_seeded_spread(1, 13), MmsPair(3, 6), 188),
     ],
 )
 def test_search_strength_is_pinned_by_count_caps(dfs_calls, values, pair, nodes):
     # Near-equal items where few items fit in the smallest parts, so the
     # count cap lowers the root bound to the optimum and the search stops at
     # the lex-first witness. With the root bound l*T//d alone the first
-    # three take 673,487, 775,322 and 966,922 nodes. The last starts from
-    # the cap's partition; from the greedy partition alone it takes 5,328.
-    # With equal-sum twins the search takes 46, 42, 4,147 and 730.
+    # three enter 206,244, 234,878 and 346,245 nodes. The last starts from
+    # the cap's partition; from the greedy partition alone it enters 1,408.
     bound = 4 * nodes
     assert dfs_calls(mms, bound, Instance(values), pair) <= bound
 
 
 def test_search_strength_is_pinned_by_equal_sum_twins(dfs_calls):
     # Near-equal items with five values, so many part sums tie: a part whose
-    # previous twin has the same sum is skipped, 170 nodes. Skipping only
-    # empty twins takes 580, so this pin has its own bound of twice the
+    # previous twin has the same sum is skipped, 70 nodes. Skipping only
+    # empty twins enters 184, so this pin has its own bound of twice the
     # count, where the 4x pins above would pass the weaker rule.
     values = tuple(10**6 + (37 * k) % 5 for k in range(14))
-    bound = 2 * 170
+    bound = 2 * 70
     assert dfs_calls(mms, bound, Instance(values), MmsPair(3, 6)) <= bound
 
 
@@ -586,6 +587,29 @@ def _mixed_values(rng, m):
     if rng.random() < 0.5:
         return [rng.choice([0, 0, 1, 2, 3, 3, 5, 8, 13]) for _ in range(m)]
     return [rng.choice([0, 10**6 + rng.randrange(51)]) for _ in range(m)]
+
+
+def test_witnesses_of_a_seeded_sweep_are_pinned():
+    # One SHA-256 over (value, part_of) of 600 searches on 6-11 items, both
+    # routes: tie-heavy 0-3, 1-1000 and near-equal at 10**6 and 10**30, every
+    # l at unit scale and l = 1 at scales from {1, 2, 3, 6}. The brute-force
+    # test pins lex-first witnesses up to 7 items and CI's hashes at 16 items;
+    # this pins them in between.
+    rng = random.Random(2026)
+    draws = [lambda: rng.randrange(4), lambda: rng.randint(1, 1000),
+             lambda: 10**6 + rng.randrange(51), lambda: 10**30 + rng.randrange(51)]
+    digest = hashlib.sha256()
+    for _ in range(300):
+        draw = rng.choice(draws)
+        items = [draw() for _ in range(rng.randint(6, 11))]
+        d = rng.randint(1, 8)
+        if rng.randrange(2):
+            l, scale = rng.randint(1, d), (1,) * d
+        else:
+            l, scale = 1, tuple(rng.choice((1, 2, 3, 6)) for _ in range(d))
+        for lex_first in (True, False):
+            digest.update(repr(engine._search(items, l, scale, lex_first, SearchLimits())).encode())
+    assert digest.hexdigest() == "e981c29a80abcbb8075f8380ed407a43ef17487f9d8cfc7cb8061ee439213b9f"
 
 
 def test_value_only_route_matches_the_lex_first_values():
