@@ -121,13 +121,14 @@ def _exec_pairs(inputs: dict) -> tuple[int, dict]:
     candidates = candidate_pairs(a, m)
     trace = filtration_trace(a, m, candidates)
     removed = {t.removed.d for t in trace}  # each candidate has its own d
+    names = [str(p) for p in candidates]  # names[d - 1]; `by` is a candidate too
     outputs = {
         "entitlement": format_rational(a),
         "item_count": m,
-        "candidates": [str(p) for p in candidates],
-        "survivors": [str(p) for p in candidates if p.d not in removed],
+        "candidates": names,
+        "survivors": [names[p.d - 1] for p in candidates if p.d not in removed],
         "trace": [
-            {"removed": str(t.removed), "by": str(t.by), "q": t.q, "r": t.r}
+            {"removed": names[t.removed.d - 1], "by": names[t.by.d - 1], "q": t.q, "r": t.r}
             for t in trace
         ],
     }

@@ -47,10 +47,17 @@ shortfalls must fit in the remaining value, and the fewest of the largest
 remaining items that cover each must fit in the remaining count (this cuts
 all that water-filling would). The last item is placed by formula, after
 one cut for every l (at l > 1 in place of the bound): no key rises by more
-than v*lcm(scale) or past the l+1-th smallest. `_search` returns the value
-and a bare assignment, whose keys it re-checks on every call; only `mms` and
-`weighted_maximin_partition` build a `PartitionAssignment`. `mms_cardinality`
-is the share of m unit items.
+than v*lcm(scale) or past the l+1-th smallest. Near-equal items are searched
+in small integers: with b the smallest nonzero item, spread = T - m*b and
+C = lcm(scale), a key is c_j*(n_j*b + R_j) with 0 <= c_j*R_j <= C*spread and
+a union of l unit-scale keys is N*b + R with R <= spread, so every base above
+C*spread orders all partitions alike, by (N, R), with the same optima and
+lex-first witness. At T >= 2**30 (past one CPython digit; below, it does not
+pay) and b > small = C*spread + 1 the search runs on the items v - b + small
+and maps its value back as value // small * b + value % small. `_search`
+returns the value and a bare assignment, whose keys it re-checks on the
+items given; only `mms` and `weighted_maximin_partition` build a
+`PartitionAssignment`. `mms_cardinality` is the share of m unit items.
 """
 from __future__ import annotations
 
@@ -169,6 +176,12 @@ def _search(
     prefix = [0, *itertools.accumulate(items)]
     total = prefix[m]
     top = lcm(*scale)
+    b = items[-1]  # near-equal items are searched at the base small (module docstring)
+    small = min(b, top * (total - m * b) + 1) if total >> 30 else b
+    if small < b:
+        items = [v - b + small for v in items]
+        prefix = [0, *itertools.accumulate(items)]
+        total = prefix[m]
     root, cap_j, cap_c = (_count_cap(prefix, l, d) if top == 1  # WMMS scales: no cap start
                           else (l * total * top // sum(top // s for s in scale), d, 0))
     assign = [0] * m
@@ -192,7 +205,6 @@ def _search(
             previous[c] = j
         sums = [0] * d
         last = m - 1
-        small = items[last]
         if l > 1:  # by depth: the bound's whole units of small, then its pour
             units = [m - j if total - prefix[j] < (m - j + d) * small else 0 for j in range(m)]
             pours = [total - prefix[j] - n * small for j, n in enumerate(units)]
@@ -269,10 +281,11 @@ def _search(
             dfs(0)
         except RecursionError:  # a caller deeper than the margin above
             raise InstanceTooLargeError(_TOO_DEEP.format(m)) from None
+    best = best // small * b + best % small if small < b else best  # back to base b
     # Raised explicitly, not asserted, so that `python -O` keeps the check.
     # The lex-first optimum beats its start, so no witness at all is a fault.
     keys = [0] * d
-    for v, k in zip(items, best_assign or ()):  # zeros add nothing
+    for v, k in zip(canonical, best_assign or ()):  # on the items given; zeros add nothing
         keys[k] += v * scale[k]
     if best_assign is None or min_l_union(keys, l) != best:
         raise AssertionError(f"witness {best_assign} does not reach {best}")

@@ -17,8 +17,9 @@ from mmsfair.core import (
     MmsPair,
     PartitionAssignment,
     canonicalize,
+    ratio_keys,
 )
-from mmsfair.criteria import omms_requirements
+from mmsfair.criteria import omms_requirements, weighted_maximin_partition
 from mmsfair.dominance import dominates
 from mmsfair.engine import SearchLimits, min_l_union, mms, mms_cardinality
 from oracles import brute_force_mms, brute_force_mms_table, coverable
@@ -630,6 +631,46 @@ def test_value_only_route_matches_the_lex_first_values():
         witness = PartitionAssignment(part_of, len(scale))
         keys = map(operator.mul, witness.part_sums(sorted(values, reverse=True)), scale)
         assert min_l_union(list(keys), l) == value
+
+
+def test_near_equal_items_keep_their_witness_at_every_base_above_the_spread():
+    # Items B + r_i with r_i in [0, 50] and zeros mixed in, at B = 10**30
+    # (searched at a small base, module docstring), 10**6 and the least base
+    # above C*sum(r), C = lcm(scale). Every base gives the same lex-first
+    # witness, and the value N*B + R keeps its R, N being the items in the
+    # witness's l smallest parts. The edges: one item, all r_i = 0 (at the
+    # least base every item is 1) and a single part.
+    rng = random.Random(27)
+    for case in range(240):
+        m = 1 if case % 8 == 0 else rng.randint(2, 9)
+        r = [0] * m if case % 8 == 1 else [rng.randint(0, 50) for _ in range(m)]
+        zeros = [0] * rng.choice((0, 0, 1, 2))
+        d = rng.randint(1, 6)
+        pair = MmsPair(rng.randint(1, d), d)
+        seen = set()
+        for base in (10**30, 10**6, sum(r) + 1):
+            instance = Instance(tuple(base + x for x in r) + tuple(zeros))
+            result = mms(instance, pair)
+            part_of = result.witness.part_of
+            counts = [part_of[:m].count(j) for j in range(d)]
+            sums = result.witness.part_sums(sorted(instance.items, reverse=True))
+            n = sum(c for _, c in sorted(zip(sums, counts))[:pair.l])
+            seen.add((part_of, result.value - n * base))
+            if base == 10**30 and m + len(zeros) <= (7 if d < 6 else 6):  # the d**m oracle
+                assert result.value == brute_force_mms(instance, pair), (r, pair)
+        assert len(seen) == 1, (r, zeros, pair)
+        # WMMS: one part per agent, keys c_j*s_j with lcm(c) > 1.
+        weights = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        if len(set(weights)) == 1:
+            weights[0] += 1
+        t = [Fraction(w, sum(weights)) for w in weights]
+        top = math.lcm(*ratio_keys(t)[2])
+        assert top > 1
+        seen = {
+            weighted_maximin_partition(Instance(tuple(b + x for x in r) + tuple(zeros)), t)[1]
+            for b in (10**30, 10**6, top * sum(r) + 1)
+        }
+        assert len(seen) == 1, (r, zeros, t)
 
 
 def _prefix(values):
