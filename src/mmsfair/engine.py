@@ -11,21 +11,29 @@ A part takes an item only when its sum differs from its twin's, the previous
 part of its scale (of equal entitlement in WMMS): swapping the two labels
 from that item on keeps all keys and lowers the vector. The search walks the
 assignments depth first in lex order, keeps strict improvements only and
-stops at the root bound l*T*C // sum(C // scale[j]), C = lcm(scale). At
-unit scale the root is the least count cap over j = l..d: the j parts with
-the fewest items hold at most C_j = q*j - min(j, q*d - m) of the m items
-(q = ceil(m/d)), so the l smallest part sums are at most the l-out-of-j
-share of the C_j largest items, at most l/j of their sum and, when
-C_j <= j (one item per part), the sum of items j-l .. C_j-1: at j = d with
-m <= d, the exact share, which needs no search. The start is the better of
-the greedy partition (each item, largest first, to the part with the least
-key) and, at unit scale with a binding j < d, the cap's partition (the C_j
-largest items greedily into parts 0..j-1, the rest into parts j..). The
-lex-first route (`mms`, `weighted_maximin_partition`) starts one below it:
-any start is at most the optimum, so its witness stays the lex-first
-optimum, which no rule cuts. The value-only route (`audit`, `scan`,
-`wmms_value`) keeps the start as its witness until beaten, and searches
-only if that is below the root bound, which would prove it optimal. Zeros go
+stops at the root bound l*T*C // sum(C // scale[j]), C = lcm(scale). At unit
+scale the root is the least count cap of two families. The j parts with the
+fewest items hold at most C_j = q*j - min(j, q*d - m) of the m items
+(q = ceil(m/d)); P_c is the sum of the c largest. Primal, j = l..d: the l
+smallest part sums are at most the l-out-of-j share of the c = C_j largest
+items, at most l*P_c/j and, when c <= j (one item per part), the sum of items
+j-l .. c-1: at j = d with m <= d, the exact share, with no search. Dual,
+k = d-l+1..d-1, m > d: the d-k emptiest parts (c = C_(d-k) items at most) and
+the l-d+k smallest others are l parts, so the share is at most
+P_c + share(l-d+k, k, items[c:]) <= P_c + (l-d+k)*(T - P_c)/k: moving an item,
+or a larger one, to the emptiest parts adds at least what the other share
+loses. At l > 1, when the start is below the root and the binding cap has more
+items than its j' < d parts, a value-only search of its sub-instance makes the
+root exact. Only the root changes; it decides only whether to search and when
+to stop, so values and witnesses stay. The start is the better of the greedy
+partition (each item, largest first, to the part with the least key) and, at
+unit scale with a binding primal j < d, the cap's partition (the C_j largest
+items greedily into parts 0..j-1, the rest into parts j..). The lex-first route
+(`mms`, `weighted_maximin_partition`) starts one below it: any start is at most
+the optimum, so its witness stays the lex-first optimum, which no rule cuts.
+The value-only route (`audit`, `scan`, `wmms_value`) keeps the start as its
+witness until beaten (so the start stays the primal's), and searches only if
+that is below the root bound, which would prove it optimal. Zeros go
 to part 0 outside the search. An item equal to its predecessor never goes
 to an earlier part (swapping equal items keeps the part sums and lowers the
 vector). Each node is tested in its parent's loop, once its item is placed,
@@ -136,19 +144,23 @@ def _greedy(
     return keys
 
 
-def _count_cap(prefix: list[Value], l: int, d: int) -> tuple[Value, int, int]:
-    # The module docstring's least count cap over j = l..d and the binding j
-    # and C_j, without min() (it doubles the cost on tiny searches).
+def _count_cap(prefix: list[Value], l: int, d: int) -> tuple[Value, int, int, int]:
+    # The docstring's least cap of both families, the primal's binding j and C_j, the dual's k.
     m = len(prefix) - 1
     q = -(-m // d)
     r = q * d - m
-    cap = prefix[m] + 1  # above every cap
+    cap, dual = prefix[m] + 1, 0  # above every cap; no min(), it doubles tiny searches' cost
     for j in range(l, d + 1):
         c = q * j - (j if j < r else r)  # mms_cardinality(m, j/d)
         x = prefix[c] - prefix[j - l if j - l < c else c] if c <= j else l * prefix[c] // j
         if x < cap:
             cap, split, count = x, j, c
-    return cap, split, count
+    for k in range(d - l + 1, d) if l > 1 and m > d else ():  # m <= d: the j = d cap is exact
+        c = q * (d - k) - (d - k if d - k < r else r)  # C_(d-k)
+        x = prefix[c] + (l - d + k) * (prefix[m] - prefix[c]) // k
+        if x < cap:
+            cap, dual = x, k
+    return cap, split, count, dual
 
 
 def _search(
@@ -182,8 +194,8 @@ def _search(
         items = [v - b + small for v in items]
         prefix = [0, *itertools.accumulate(items)]
         total = prefix[m]
-    root, cap_j, cap_c = (_count_cap(prefix, l, d) if top == 1  # WMMS scales: no cap start
-                          else (l * total * top // sum(top // s for s in scale), d, 0))
+    root, cap_j, cap_c, dual = (_count_cap(prefix, l, d) if top == 1  # WMMS scales: no caps
+                                else (l * total * top // sum(top // s for s in scale), d, 0, 0))
     assign = [0] * m
     best = min_l_union(_greedy(items, scale, assign), l)
     if best < root and cap_j < d:  # try the cap's partition too
@@ -191,6 +203,10 @@ def _search(
         keys += _greedy(items[cap_c:], scale[cap_j:], split, cap_c, cap_j)
         if (start := min_l_union(keys, l)) > best:
             best, assign = start, split
+    if l > 1 and best < root and (dual or cap_c > cap_j < d):  # the binding fractional cap
+        first = mms_cardinality(m, MmsPair(d - dual, d)) if dual else 0
+        end, inner_l, parts = (m, l - d + dual, dual) if dual else (cap_c, l, cap_j)
+        root = prefix[first] + _search(items[first:end], inner_l, (1,) * parts, False, limits)[0]
     # The lex-first route starts one below, with no witness until beaten.
     best, best_assign = (best - 1, None) if lex_first else (best, tuple(assign))
     # A start at the root proves the value-only route's witness optimal.

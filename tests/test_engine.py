@@ -705,6 +705,93 @@ def test_count_cap_is_exact_below_the_root_bound():
     assert mms(Instance(values), MmsPair(3, 5)).value == cap
 
 
+def _cap_members(items, l, d):
+    # Every member of the two count-cap families of the `engine` docstring,
+    # items in canonical order without zeros, as (family, j or k, first, end,
+    # l', j'): the share is at most sum(items[:first]) plus the l'-out-of-j'
+    # share of items[first:end].
+    m = len(items)
+    counts = [mms_cardinality(m, MmsPair(j, d)) for j in range(d + 1)]  # C_j
+    primal = [("primal", j, 0, counts[j], l, j) for j in range(l, d + 1)]
+    dual = [("dual", k, counts[d - k], m, l - d + k, k) for k in range(d - l + 1, d)]
+    return primal + dual
+
+
+def _member_shares(items, l, d):
+    # {(family, j or k): (the member at its exact share, its closed form)}. The
+    # closed form is the exact share where the sub-instance has no more items
+    # than parts, else its fractional form prefix[first] + l'*sum // j'.
+    shares = {}
+    for family, x, first, end, inner_l, parts in _cap_members(items, l, d):
+        part, head = items[first:end], sum(items[:first])
+        exact = head + engine._search(part, inner_l, (1,) * parts, False, SearchLimits())[0]
+        shares[family, x] = exact, exact if len(part) <= parts else head + inner_l * sum(part) // parts
+    return shares
+
+
+def test_count_cap_families_are_sound_at_their_exact_shares():
+    # Every member of both families, each at its exact share, is at least the
+    # share (the d**m oracle), on ties with zeros, near-equal and wide values.
+    # `_count_cap` is the least closed form, and its binding j or k (the dual's
+    # if one binds) attains it.
+    rng = random.Random(28)
+    draws = (
+        lambda: rng.choice((0, 0, 1, 2, 3, 3, 5, 8)),
+        lambda: rng.choice((0, 10**6 + rng.randrange(51), 10**6 + rng.randrange(51))),
+        lambda: rng.randrange(10**9),
+    )
+    for case in range(160):
+        d = rng.randint(2, 6)
+        most = 8 if d <= 4 else 12 - d  # keeps the d**m oracle fast
+        m = rng.randint(d + 1, most) if case % 4 and d < most else rng.randint(0, most)
+        values = [draws[case % 3]() for _ in range(m)]
+        items = sorted((v for v in values if v), reverse=True)
+        table = brute_force_mms_table(Instance(tuple(items)), d)
+        for l in range(1, d):
+            shares = _member_shares(items, l, d)
+            for member, (exact, closed) in shares.items():
+                assert table[l] <= exact <= closed, (values, l, d, member)
+            cap, split, count, dual = engine._count_cap(_prefix(items), l, d)
+            binding = ("dual", dual) if dual else ("primal", split)
+            assert cap == shares[binding][1] == min(c for _, c in shares.values()), (values, l, d)
+            assert count == mms_cardinality(len(items), MmsPair(split, d))
+
+
+def test_only_the_dual_count_cap_is_exact_on_near_equal_items(dfs_calls):
+    # 12 near-equal items at 3/7. The 2 parts with the fewest items hold at
+    # most 2 items, so the share is at most the 2 largest items plus the
+    # 1-out-of-5 share of the other 10: the dual cap at k = 5 binds, and at its
+    # exact share it is the share, which no primal cap at j < 7 reaches. The
+    # value-only search then stops at the share: 434 nodes, 4,271 with the
+    # primal caps in their fractional form alone.
+    values = _seeded_spread(0, 12)
+    pair = MmsPair(3, 7)
+    share = middle_shares(values, [pair])[pair]
+    items = sorted(values, reverse=True)
+    cap, _, _, dual = engine._count_cap(_prefix(items), 3, 7)
+    assert dual == 5 and cap > share
+    shares = _member_shares(items, 3, 7)
+    primal = [exact for (family, j), (exact, _) in shares.items() if family == "primal" and j < 7]
+    assert shares["dual", 5][0] == share < min(primal)
+    args = (values, 3, (1,) * 7, False, SearchLimits())
+    assert engine._search(*args)[0] == share
+    assert dfs_calls(engine._search, 2 * 434, *args) <= 2 * 434
+
+
+@pytest.mark.parametrize(
+    "l, value, nodes", [(2, 4_000_131, 8), (3, 6_000_199, 2), (4, 8_000_274, 1)]
+)
+def test_value_only_hunt_shares_are_pinned_by_exact_count_caps(dfs_calls, l, value, nodes):
+    # CI's sixteen hunt items (HUNT_ITEMS, the spread 50 of seed 0) at l/7 on
+    # the value-only route. The binding cap (j = 5, the 10 largest items) at
+    # its exact share is the share, so the search stops once it reaches it;
+    # the counts include the sub-search's nodes. With the primal caps in
+    # their fractional form alone they enter 132,028, 117,091 and 87,277.
+    args = (_spread(50, 0).items, l, (1,) * 7, False, SearchLimits())
+    assert engine._search(*args)[0] == value
+    assert dfs_calls(engine._search, 2 * nodes, *args) <= 2 * nodes
+
+
 @pytest.mark.parametrize("kind", ["near-equal", "1-1000"])
 def test_metamorphic_properties_at_sixteen_items(kind):
     # Past every oracle, l = 1: the share scales with the values, ignores
