@@ -28,7 +28,7 @@ from .core import (
     parse_rational,
 )
 from .criteria import CRITERIA, Allocation, audit, check_criteria
-from .dominance import decompose, dominates, non_dominance_witness
+from .dominance import decompose, dominates
 from .engine import DEFAULT_LIMITS, SearchLimits, mms, mms_cardinality
 from .pairs import candidate_pairs, filtration_trace
 from .scan import notion_separation_scan, report_jsonable, write_csv_rows
@@ -105,12 +105,11 @@ def _exec_dominates(inputs: dict) -> tuple[int, dict]:
         "witness": None,
     }
     if not verdict:
-        witness = non_dominance_witness(p, other)
-        # Closed form for unit items: valid for any part count.
+        # `non_dominance_witness`'s d' unit items, valued by the closed form (any d').
         outputs["witness"] = {
-            "items": list(witness.items),
-            "pair_value": mms_cardinality(len(witness), p),
-            "other_value": mms_cardinality(len(witness), other),
+            "items": [1] * other.d,
+            "pair_value": mms_cardinality(other.d, p),
+            "other_value": mms_cardinality(other.d, other),
         }
     return (EXIT_OK if verdict else EXIT_FALSE), outputs
 

@@ -9,6 +9,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from mmsfair.cli import COMMANDS, _render_scan, build_parser, execute, main
+from mmsfair.core import MmsPair
+from mmsfair.dominance import dominates, non_dominance_witness
+from mmsfair.engine import mms_cardinality
 
 
 def run(capsys, *argv):
@@ -144,6 +147,24 @@ def test_dominates_exit_codes(capsys):
 
     code, _, err = run(capsys, "dominates", "3", "2", "1", "1")
     assert code == 2
+
+
+def test_dominates_witness_is_the_unit_item_closed_form():
+    # `execute` builds the witness itself; it must stay `non_dominance_witness`'s
+    # d' unit items, valued by the closed form, on the whole grid and at a large d'.
+    grid = [MmsPair(l, d) for d in range(1, 13) for l in range(d + 1)]
+    cases = [(p, q) for p in grid for q in grid if not dominates(p, q)]
+    cases.append((MmsPair(1, 2), MmsPair(99_999, 100_000)))
+    assert len(cases) > 1000
+    for p, other in cases:
+        code, outputs = execute("dominates", {"pair": str(p), "other": str(other)})
+        assert code == 1
+        assert outputs["witness"] == {
+            "items": list(non_dominance_witness(p, other).items),
+            "pair_value": mms_cardinality(other.d, p),
+            "other_value": other.l,
+        }
+        assert outputs["witness"]["pair_value"] < other.l
 
 
 def test_pairs_command_and_trace(capsys):
