@@ -76,6 +76,10 @@ PINS = (
     Pin("Default-grid scan within 10 s (summary and every row)",
         f"{CLI} scan --max-items 5 --values 0,7,19,31,60 --entitlements {GRID} --json",
         10, 0, "245c351653ae3ad5f680437b70930b240e126e7fcc1e41895d5c8a5387d5ad7f"),
+    Pin("Sampled scan within 10 s (40 of the default grid's 251 multisets, the path scan-sweep"
+        " runs)", f"{CLI} scan --max-items 5 --values 0,7,19,31,60 --entitlements {GRID}"
+        " --max-instances 40 --seed 3 --json",
+        10, 0, "2f80c89afe7de9f9915c2d8a4796e0289c217faaae2ebc1bfda9877e4d122ca0"),
     Pin("README experiments scan within 10 s (summary and CSV)",
         f"{CLI} scan --max-items 3 --values 0,1,2,40,60 --entitlements {GRID} --json",
         10, 0, "6f2ba7db4867e1c2a99eca7dd808859ce641f80d0499a51afb30b6ae38d4e758",

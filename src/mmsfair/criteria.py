@@ -15,9 +15,10 @@ subset-sum enumeration rather than the labeled-partition search, so the
 two routes cross-check each other where they must agree. `agent_shares`
 and a scan compute each value-only search once per instance, in a table
 keyed by (l, scale), so a tied vector's WMMS (scale all ones) is the
-1-out-of-n entry OMMS reads; the sorted subset sums once per instance and
-each pair set once per (entitlement, item count): see `ShareTables`. The
-search checks its own bound; BMMS, which does not search, checks its own.
+1-out-of-n entry OMMS reads; the sorted subset sums and each entitlement's
+OMMS requirements and BMMS once per instance, each pair set once per
+(entitlement, item count): see `ShareTables`. The search checks its own
+bound; BMMS, which does not search, checks its own.
 
 Neither inner loop does Fraction arithmetic. The WMMS search puts the
 entitlements over a common denominator W, so w_j = t_j*W are integers;
@@ -61,16 +62,18 @@ def check_criteria(names: Sequence[str]) -> None:
 
 
 class ShareTables:
-    """Value-only searches by (l, scale) and sorted subset sums of the current
-    instance object and pair sets by (entitlement, item count), for one call or
-    scan. OMMS reads (l, (1,)*d), WMMS (1, c): a tied vector's is 1-out-of-n."""
+    """For the current instance object: value-only searches by (l, scale), the
+    sorted subset sums, and each entitlement's OMMS requirements, their largest
+    value and BMMS (also as an integer pair) by its lowest terms (p, q); pair
+    sets by (entitlement, item count). For one call or scan. OMMS reads
+    (l, (1,)*d), WMMS (1, c): a tied vector's is 1-out-of-n."""
 
     def __init__(self) -> None:
         self.instance, self.pairs = None, {}
 
     def of(self, instance: Instance) -> "ShareTables":
         if instance is not self.instance:
-            self.instance, self.shares, self.sums = instance, {}, None
+            self.instance, self.shares, self.sums, self.entitlements = instance, {}, None, {}
         return self
 
     def share(self, instance: Instance, l: int, scale: tuple[int, ...],
@@ -80,6 +83,17 @@ class ShareTables:
         if key not in shares:
             shares[key] = _search(instance.items, l, scale, False, limits)[0]
         return shares[key]
+
+    def entitlement(self, instance: Instance, key: tuple[int, int], a: Fraction,
+                    limits: SearchLimits) -> tuple[list, Value, Fraction, tuple[int, int]]:
+        # OMMS first, then BMMS: the order, and so the first refusal, of a fresh table.
+        entitlements = self.of(instance).entitlements
+        if key not in entitlements:
+            requirements = omms_requirements(instance, a, limits, self)
+            bmms = bmms_value(instance, a, limits, self)
+            entitlements[key] = (requirements, max((v for _, v in requirements), default=0),
+                                 bmms, bmms.as_integer_ratio())
+        return entitlements[key]
 
 
 def omms_requirements(
@@ -124,15 +138,17 @@ def wmms_value(
     t: EntitlementVector,
     i: int,
     limits: SearchLimits = DEFAULT_LIMITS,
+    tables: ShareTables | None = None,
 ) -> Fraction:
     """Weighted share of agent i: t_i times the best achievable
-    min_j V(part_j) / t_j. Each call runs one weighted search;
-    `agent_shares`, and so `audit`, runs one for all agents."""
+    min_j V(part_j) / t_j. Calls that share `tables` run one weighted
+    search for all agents, as `agent_shares`, and so `audit`, does."""
     if not 0 <= i < len(t):
         raise ValueError(f"agent index {i} outside 0..{len(t) - 1}")
     den, top, scale = t.wmms_keys
     p, q = t.lowest_terms[i]
-    return Fraction(p * _search(instance.items, 1, scale, False, limits)[0] * den, q * top)
+    tables = ShareTables() if tables is None else tables
+    return Fraction(p * tables.share(instance, 1, scale, limits) * den, q * top)
 
 
 def _subset_sums(items: Sequence[Value]) -> set[Value]:
@@ -181,20 +197,17 @@ def agent_shares(
 ) -> list[tuple[list[tuple[MmsPair, Value]], Fraction, Fraction]]:
     """(OMMS requirements, WMMS value, BMMS value) of every agent, in agent
     order. Agents with equal entitlements share all three; `tables` (fresh
-    by default) holds each search, pair set and the subset sums once. WMMS
-    is the table's (1, c) search, which for all t_i = 1/n is the 1-out-of-n
-    share. Shares are computed in first-use order, so the first refusal
-    is the one the agents meet in order."""
+    by default) holds each search, pair set, the subset sums and each
+    entitlement's OMMS requirements and BMMS value once. WMMS is the
+    table's (1, c) search, which for all t_i = 1/n is the 1-out-of-n share.
+    Shares are computed in first-use order, so the first refusal is the one
+    the agents meet in order."""
     tables = ShareTables() if tables is None else tables
     den, top, scale = t.wmms_keys
     best_key = tables.share(instance, 1, scale, limits) * den
-    # Agents are grouped by entitlement under integer keys, in first-use order.
-    groups = dict(zip(t.lowest_terms, t))
-    for (p, q), a in groups.items():
-        groups[p, q] = (omms_requirements(instance, a, limits, tables),
-                        Fraction(p * best_key, q * top),
-                        bmms_value(instance, a, limits, tables))
-    return [groups[key] for key in t.lowest_terms]
+    agents = [tables.entitlement(instance, key, a, limits) for key, a in zip(t.lowest_terms, t)]
+    return [(requirements, Fraction(p * best_key, q * top), bmms)
+            for (p, q), (requirements, _, bmms, _) in zip(t.lowest_terms, agents)]
 
 
 @dataclass(frozen=True, slots=True)

@@ -33,7 +33,10 @@ items greedily into parts 0..j-1, the rest into parts j..). The lex-first route
 the optimum, so its witness stays the lex-first optimum, which no rule cuts.
 The value-only route (`audit`, `scan`, `wmms_value`) keeps the start as its
 witness until beaten (so the start stays the primal's), and searches only if
-that is below the root bound, which would prove it optimal. Zeros go
+that is below the root bound, which would prove it optimal. When every item
+can have its own part (m <= d; m < d at WMMS scales) it answers at the root,
+before any set-up: the j = d cap at unit scale, 0 at WMMS scales (a part is
+empty), with the greedy start, item i in part i, as its witness. Zeros go
 to part 0 outside the search. An item equal to its predecessor never goes
 to an earlier part (swapping equal items keeps the part sums and lowers the
 vector). Each node is tested in its parent's loop, once its item is placed,
@@ -175,12 +178,13 @@ def _search(
         limits.check(len(items), d)
     canonical = sorted(items, reverse=True)
     m = len(canonical) - canonical.count(0)
-    zeros = (0,) * (len(canonical) - m)
     if m == 0 or l == 0:  # no item, or the empty union: all to part 0
         return 0, (0,) * len(canonical)
     # dfs recurses once per nonzero item; 100 frames are left to the callers.
     if m > sys.getrecursionlimit() - 100:
         raise InstanceTooLargeError(_TOO_DEEP.format(m))
+    if m <= d and not lex_first and (m < d or lcm(*scale) == 1):  # one item per part
+        return _checked(canonical, l, scale, sum(canonical[d - l:]), tuple(range(m)))
     items = canonical[:m]
     # prefix[k] is the sum of the k largest items, so items i.. hold
     # total - prefix[i], and the fewest of them whose sum reaches x are
@@ -298,14 +302,19 @@ def _search(
         except RecursionError:  # a caller deeper than the margin above
             raise InstanceTooLargeError(_TOO_DEEP.format(m)) from None
     best = best // small * b + best % small if small < b else best  # back to base b
+    return _checked(canonical, l, scale, best, best_assign)
+
+
+def _checked(canonical: list[Value], l: int, scale: Sequence[int], best: Value,
+             part_of: tuple[int, ...] | None) -> tuple[Value, tuple[int, ...]]:
     # Raised explicitly, not asserted, so that `python -O` keeps the check.
     # The lex-first optimum beats its start, so no witness at all is a fault.
-    keys = [0] * d
-    for v, k in zip(canonical, best_assign or ()):  # on the items given; zeros add nothing
+    keys = [0] * len(scale)
+    for v, k in zip(canonical, part_of or ()):  # on the items given; zeros add nothing
         keys[k] += v * scale[k]
-    if best_assign is None or min_l_union(keys, l) != best:
-        raise AssertionError(f"witness {best_assign} does not reach {best}")
-    return best, best_assign + zeros
+    if part_of is None or min_l_union(keys, l) != best:
+        raise AssertionError(f"witness {part_of} does not reach {best}")
+    return best, part_of + (0,) * (len(canonical) - len(part_of))
 
 
 def mms(

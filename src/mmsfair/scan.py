@@ -24,7 +24,7 @@ from math import comb
 from typing import IO, Sequence
 
 from .core import EntitlementVector, Instance, InstanceTooLargeError, Value, format_rational
-from .criteria import ShareTables, agent_shares
+from .criteria import ShareTables
 from .engine import DEFAULT_LIMITS, SearchLimits
 
 
@@ -95,18 +95,11 @@ def report_jsonable(report: ScanReport) -> dict:
     }
 
 
-CSV_COLUMNS = [
-    "items",
-    "entitlements",
-    "agent",
-    "omms_max",
-    "wmms",
-    "bmms",
-    "wmms_stronger_than_omms",
-    "omms_stronger_than_wmms",
-    "bmms_below_wmms",
-    "bmms_below_omms",
-]
+CSV_COLUMNS = ["items", "entitlements", "agent", "omms_max", "wmms", "bmms",
+               "wmms_stronger_than_omms", "omms_stronger_than_wmms", "bmms_below_wmms",
+               "bmms_below_omms"]
+# The row fields behind the last four columns.
+_FLAGS = ("wmms_stronger", "omms_stronger", "bmms_below_wmms", "bmms_below_omms")
 
 
 def write_csv_rows(rows: Sequence[dict], out: IO[str]) -> None:
@@ -118,20 +111,8 @@ def write_csv_rows(rows: Sequence[dict], out: IO[str]) -> None:
         items_text = " ".join(str(v) for v in row["items"])
         ents_text = " ".join(row["entitlements"])
         for i in range(len(row["entitlements"])):
-            writer.writerow(
-                [
-                    items_text,
-                    ents_text,
-                    i,
-                    row["omms_max"][i],
-                    row["wmms"][i],
-                    row["bmms"][i],
-                    int(i in row["wmms_stronger"]),
-                    int(i in row["omms_stronger"]),
-                    int(i in row["bmms_below_wmms"]),
-                    int(i in row["bmms_below_omms"]),
-                ]
-            )
+            writer.writerow([items_text, ents_text, i, row["omms_max"][i], row["wmms"][i],
+                             row["bmms"][i], *(int(i in row[flag]) for flag in _FLAGS)])
 
 
 def _instances(
@@ -172,23 +153,29 @@ def scan_one(
     limits: SearchLimits = DEFAULT_LIMITS,
     tables: ShareTables | None = None,
 ) -> ScanRow:
-    requirements, wmms, bmms = zip(*agent_shares(instance, t, limits, tables))
-    omms_max = tuple(max((v for _, v in r), default=0) for r in requirements)
-    # Integer comparisons by cross-multiplying; denominators are positive.
-    w = [(v.numerator, v.denominator) for v in wmms]
-    b = [(v.numerator, v.denominator) for v in bmms]
-    idx = range(len(t))
-    return ScanRow(
-        items=tuple(instance.items),
-        entitlements=tuple(t.entitlements),
-        omms_max=omms_max,
-        wmms=wmms,
-        bmms=bmms,
-        wmms_stronger=tuple(i for i in idx if w[i][0] > omms_max[i] * w[i][1]),
-        omms_stronger=tuple(i for i in idx if omms_max[i] * w[i][1] > w[i][0]),
-        bmms_below_wmms=tuple(i for i in idx if b[i][0] * w[i][1] < w[i][0] * b[i][1]),
-        bmms_below_omms=tuple(i for i in idx if b[i][0] < omms_max[i] * b[i][1]),
-    )
+    # One pass over the agents, on integer pairs compared by cross-multiplying
+    # (denominators are positive): WMMS_i is p*key*W / (q*L) (`criteria`), OMMS_i
+    # over 1, BMMS_i the table's (once per entitlement); `flags` are the row's last four.
+    tables = ShareTables() if tables is None else tables
+    den, top, scale = t.wmms_keys
+    best = tables.share(instance, 1, scale, limits) * den
+    omms_max, wmms, bmms, flags = [], [], [], ([], [], [], [])
+    for i, ((p, q), a) in enumerate(zip(t.lowest_terms, t)):
+        _, o, b, (bn, bd) = tables.entitlement(instance, (p, q), a, limits)
+        wn, wd = p * best, q * top
+        omms_max.append(o)
+        wmms.append(Fraction(wn, wd))
+        bmms.append(b)
+        if wn > o * wd:
+            flags[0].append(i)
+        elif o * wd > wn:
+            flags[1].append(i)
+        if bn * wd < wn * bd:
+            flags[2].append(i)
+        if bn < o * bd:
+            flags[3].append(i)
+    return ScanRow(tuple(instance.items), tuple(t.entitlements), tuple(omms_max), tuple(wmms),
+                   tuple(bmms), *map(tuple, flags))
 
 
 def notion_separation_scan(

@@ -648,6 +648,24 @@ def test_agent_shares_computes_each_share_once(monkeypatch):
     assert set(calls["_search"]) == omms | {(1, (72, 80, 72, 45))}
 
 
+def test_wmms_value_calls_sharing_a_table_search_once(monkeypatch):
+    # n agents cost one weighted search, not n, when their calls share a table.
+    instance = Instance((9, 7, 6, 5, 3, 2, 1))
+    t = EntitlementVector((Fraction(2, 9), Fraction(1, 5), Fraction(2, 9), Fraction(16, 45)))
+    expected = [wmms_value(instance, t, i) for i in range(len(t))]
+    calls = []
+    real = criteria._search
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(criteria, "_search", counted)
+    tables = criteria.ShareTables()
+    assert [wmms_value(instance, t, i, tables=tables) for i in range(len(t))] == expected
+    assert calls == [(1, (72, 80, 72, 45))]
+
+
 def test_agent_shares_first_refusal_is_unchanged():
     # Agent 1 (2/5) needs 5 parts and agent 2 (4/15) needs 4: the refusal
     # names the first share beyond the bound in agent order.

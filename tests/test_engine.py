@@ -555,6 +555,39 @@ def test_value_only_share_takes_no_node_when_the_start_meets_the_root(
     assert dfs_calls(engine._search, 0, *args) == 0
 
 
+def test_value_only_route_answers_one_item_per_part_at_the_root(dfs_calls):
+    # With m <= d nonzero items each can have its own part, and the value-only
+    # route answers with no node: the greedy start (item i in part i, zeros in
+    # part 0) is its witness. At unit scale the value is the j = d cap, the
+    # brute-force share; at WMMS scales with m < d a part is empty, so it is 0.
+    # The lex-first route still searches: its witnesses hash as before.
+    rng = random.Random(30)
+    digest = hashlib.sha256()
+    for d in range(1, 7):
+        for m in range(d + 1):
+            nonzero = [rng.choice((1, 2, 5, 9, 10**30 + rng.randrange(9))) for _ in range(m)]
+            table = brute_force_mms_table(Instance(tuple(nonzero)), d)
+            weights = [[rng.randint(1, 4) for _ in range(d)] for _ in range(3)]
+            scales = {tuple(math.lcm(*w) // x for x in w) for w in weights} - {(1,) * d}
+            for zeros in range(3):
+                items = nonzero + [0] * zeros
+                rng.shuffle(items)
+                witness = tuple(range(m)) + (0,) * zeros
+                for l in range(1, d + 1):
+                    args = (items, l, (1,) * d, False, SearchLimits())
+                    assert engine._search(*args) == (table[l], witness), (items, l)
+                    assert dfs_calls(engine._search, 0, *args) == 0
+                    result = mms(Instance(tuple(items)), MmsPair(l, d))
+                    digest.update(repr((result.value, result.witness.part_of)).encode())
+                for scale in sorted(scales) if m < d else ():
+                    args = (items, 1, scale, False, SearchLimits())
+                    assert engine._search(*args) == (0, witness), (items, scale)
+                    assert dfs_calls(engine._search, 0, *args) == 0
+                    lex_first = engine._search(items, 1, scale, True, SearchLimits())
+                    digest.update(repr(lex_first).encode())
+    assert digest.hexdigest() == "5ebae2059bef2509880bb617a490de25c36e1e8515f8db49e35b13e7bb14a20b"
+
+
 def test_coverable_certifies_the_oracle_shares():
     # v is the 1-out-of-d share exactly when d parts of at least v exist and
     # d parts of at least v + 1 do not; v = 0 needs empty parts up front.

@@ -18,8 +18,8 @@ CLI_PINS = [pin for pin in runner.PINS if pin.command.startswith(runner.CLI + " 
 
 
 def test_the_table_has_every_pinned_command():
-    assert len(runner.PINS) == 14
-    assert len(CLI_PINS) == 12
+    assert len(runner.PINS) == 15
+    assert len(CLI_PINS) == 13
 
 
 @pytest.mark.parametrize("pin", CLI_PINS, ids=lambda pin: pin.name)

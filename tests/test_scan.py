@@ -212,6 +212,29 @@ def test_scan_computes_each_share_once_per_instance(monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
+def test_scan_computes_each_entitlement_once_per_instance(monkeypatch):
+    # 3/5 is in both vectors and 1/5 twice in one: the table keeps each
+    # entitlement's OMMS requirements and BMMS value per instance.
+    grid = [T_40_60, T_SKEW]
+    expected = notion_separation_scan(3, [0, 1, 40, 60], grid)
+    calls = {"omms_requirements": [], "bmms_value": []}
+
+    def counted(name):
+        real = getattr(criteria, name)
+
+        def wrapper(instance, a, *args):
+            calls[name].append((instance.items, a))
+            return real(instance, a, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(criteria, name, counted(name))
+    assert notion_separation_scan(3, [0, 1, 40, 60], grid) == expected
+    once = sorted({(row.items, t_i) for row in expected.rows for t_i in row.entitlements})
+    assert sorted(calls["omms_requirements"]) == sorted(calls["bmms_value"]) == once
+
+
 def reference_row(instance, t):
     # One row on its own, sharing nothing with other rows or agents: the
     # weighted search for every vector, tied or not, and a fresh pair set,
