@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 class Pin(NamedTuple):
     name: str
     command: str  # the argv after `python`, split on spaces (no argument holds one)
-    seconds: float | None  # time bound, or None
+    seconds: float  # time bound: a hung row prints MISS, not a stalled job
     code: int  # expected exit code; 1 is the audit's FAIL verdict
     stdout_sha256: str
     csv_sha256: str | None = None  # if set, the row runs with `--out FILE` and pins FILE too
@@ -41,15 +41,15 @@ def audit(entitlements: str, allocation: str = HALVES) -> str:
 
 PINS = (
     Pin("Condition census script (README example)", CENSUS,
-        None, 0, "9b711e1a6821d9fe8abd8e4461e244b70fd3a5206b1f79256bf996dcadb6b3a4"),
+        5, 0, "9b711e1a6821d9fe8abd8e4461e244b70fd3a5206b1f79256bf996dcadb6b3a4"),
     Pin("Condition census script with survivors", f"{CENSUS} --show-survivors",
-        None, 0, "3e872120ec0b812740d489eed53d59c56de7a9d4ab98d10e66f0ca674d517828"),
+        5, 0, "3e872120ec0b812740d489eed53d59c56de7a9d4ab98d10e66f0ca674d517828"),
     Pin("Pair filtration at 20,000 items within 5 s (a quadratic filter fails it)",
         f"{CLI} pairs --entitlement 137/262 --items-count 20000 --json",
         5, 0, "e9e874d1b67657b445f04cc02147b299eabe9198d44c4c8e687a7e1ea16db1ad"),
     Pin("Full pair trace at 2,000 items (every credit, q and r)",
         f"{CLI} pairs --entitlement 137/262 --items-count 2000 --trace --json",
-        None, 0, "12b1ce25c5a35121525bea98ba2f49e8559418831594f0b0808ca09c7b6313f1"),
+        5, 0, "12b1ce25c5a35121525bea98ba2f49e8559418831594f0b0808ca09c7b6313f1"),
     Pin("Sixteen-item audit at 2/9, 7/9 within 1 s (value-only shares)", audit("2/9,7/9"),
         1, 1, "8ef54f31d57d8e501d44318899b1bb465884748acbac3066f6fc975199cfee4b"),
     Pin("Sixteen-item audit of a tied vector within 2 s (WMMS is the 1-out-of-4 share past the"

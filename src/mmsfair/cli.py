@@ -458,8 +458,9 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "out", None):
             with open(args.out, "w", newline="") as handle:
                 write_csv_rows(outputs["rows"], handle)
-    except InstanceTooLargeError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
+    except (InstanceTooLargeError, MemoryError) as exc:
+        # A MemoryError carries no message; exit 1 would read as a false verdict.
+        print(f"refused: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_REFUSED
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ Three notions are evaluated exactly:
 
 WMMS and BMMS values are exact rationals. BMMS deliberately uses a
 subset-sum enumeration rather than the labeled-partition search, so the
-two routes cross-check each other where they must agree. `agent_shares`
+two routes cross-check each other where they must agree. `audit`
 and a scan compute each value-only search once per instance, in a table
 keyed by (l, scale), so a tied vector's WMMS (scale all ones) is the
 1-out-of-n entry OMMS reads; the sorted subset sums and each entitlement's
@@ -28,7 +28,7 @@ built; the search compares the integer keys s*c_j, and agent i's WMMS is
 the one Fraction p*key*W / (q*L). The search is `engine._search` at l = 1
 with scale c_j, parts of equal entitlement as twins. `engine` states
 its rules and its routes: `weighted_maximin_partition` takes the lex-first
-one, the shares and WMMS of `agent_shares` and `wmms_value` the value-only
+one, the shares and WMMS of `audit`, `scan` and `wmms_value` the value-only
 one. BMMS bisects the sorted subset sums for t_i*T and scores the two on
 either side of it.
 """
@@ -142,7 +142,7 @@ def wmms_value(
 ) -> Fraction:
     """Weighted share of agent i: t_i times the best achievable
     min_j V(part_j) / t_j. Calls that share `tables` run one weighted
-    search for all agents, as `agent_shares`, and so `audit`, does."""
+    search for all agents, as `audit` does."""
     if not 0 <= i < len(t):
         raise ValueError(f"agent index {i} outside 0..{len(t) - 1}")
     den, top, scale = t.wmms_keys
@@ -187,27 +187,6 @@ def bmms_value(
     if k < len(sums) and lo * (q - p) < p * (total - sums[k]):
         return Fraction(p * (total - sums[k]), q - p)
     return Fraction(lo)
-
-
-def agent_shares(
-    instance: Instance,
-    t: EntitlementVector,
-    limits: SearchLimits = DEFAULT_LIMITS,
-    tables: ShareTables | None = None,
-) -> list[tuple[list[tuple[MmsPair, Value]], Fraction, Fraction]]:
-    """(OMMS requirements, WMMS value, BMMS value) of every agent, in agent
-    order. Agents with equal entitlements share all three; `tables` (fresh
-    by default) holds each search, pair set, the subset sums and each
-    entitlement's OMMS requirements and BMMS value once. WMMS is the
-    table's (1, c) search, which for all t_i = 1/n is the 1-out-of-n share.
-    Shares are computed in first-use order, so the first refusal is the one
-    the agents meet in order."""
-    tables = ShareTables() if tables is None else tables
-    den, top, scale = t.wmms_keys
-    best_key = tables.share(instance, 1, scale, limits) * den
-    agents = [tables.entitlement(instance, key, a, limits) for key, a in zip(t.lowest_terms, t)]
-    return [(requirements, Fraction(p * best_key, q * top), bmms)
-            for (p, q), (requirements, _, bmms, _) in zip(t.lowest_terms, agents)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,25 +253,22 @@ def audit(
     alloc: Allocation,
     limits: SearchLimits = DEFAULT_LIMITS,
 ) -> FairnessReport:
-    """Per-agent verdicts for all three criteria on one allocation."""
+    """Per-agent verdicts for all three criteria on one allocation. The
+    weighted search runs first, then each agent's table entry in agent order
+    (agents with equal entitlements share one), so the first refusal is the
+    one the agents meet in order; WMMS_i is p*key*W / (q*L)."""
     if len(alloc.bundles) != len(t):
         raise ValueError(
             f"allocation has {len(alloc.bundles)} bundles for {len(t)} agents"
         )
     alloc.validate_for(instance)
+    tables = ShareTables()
+    den, top, scale = t.wmms_keys
+    best = tables.share(instance, 1, scale, limits) * den
     audits = []
-    for i, (requirements, wmms, bmms) in enumerate(agent_shares(instance, t, limits)):
-        value = alloc.bundle_value(instance, i)
-        audits.append(
-            AgentAudit(
-                agent=i,
-                bundle_value=value,
-                omms_requirements=tuple(requirements),
-                omms_ok=all(value >= req for _, req in requirements),
-                wmms_value=wmms,
-                wmms_ok=value >= wmms,
-                bmms_value=bmms,
-                bmms_ok=value >= bmms,
-            )
-        )
+    for i, ((p, q), a) in enumerate(zip(t.lowest_terms, t)):
+        requirements, omms_max, bmms, _ = tables.entitlement(instance, (p, q), a, limits)
+        value, wmms = alloc.bundle_value(instance, i), Fraction(p * best, q * top)
+        audits.append(AgentAudit(i, value, tuple(requirements), value >= omms_max,
+                                 wmms, value >= wmms, bmms, value >= bmms))
     return FairnessReport(tuple(audits))

@@ -18,7 +18,7 @@ import itertools
 import random
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import IO, Sequence
@@ -40,12 +40,11 @@ class ScanRow:
     omms_stronger: tuple[int, ...]
     bmms_below_wmms: tuple[int, ...]
     bmms_below_omms: tuple[int, ...]
-    # Set once per row, from integer pairs: a Fraction is in lowest terms.
-    equal_entitlements: bool = field(init=False)
 
-    def __post_init__(self) -> None:
-        pairs = {(t.numerator, t.denominator) for t in self.entitlements}
-        object.__setattr__(self, "equal_entitlements", len(pairs) == 1)
+    @property
+    def equal_entitlements(self) -> bool:
+        # From integer pairs: a Fraction is in lowest terms, and hashes in Python.
+        return len({(t.numerator, t.denominator) for t in self.entitlements}) == 1
 
     @property
     def omms_wmms_coincide(self) -> bool:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from mmsfair import cli
 from mmsfair.cli import COMMANDS, _render_scan, build_parser, execute, main
 from mmsfair.core import MmsPair
 from mmsfair.dominance import dominates, non_dominance_witness
@@ -209,6 +210,31 @@ def test_audit_exit_depends_on_requested_criteria(capsys):
 
     code, _, err = run(capsys, *base, "--criteria", "envy")
     assert code == 2
+
+
+def test_audit_checks_criteria_before_the_search(capsys):
+    # 17 items are past the default item bound: an unknown criterion is a
+    # usage error (exit 2) before the search could refuse (exit 3).
+    base = ["audit", "--items", ",".join(["1"] * 17), "--entitlements", "1/2,1/2",
+            "--allocation", ",".join(map(str, range(17))) + ";"]
+    code, _, err = run(capsys, *base, "--criteria", "envy")
+    assert code == 2
+    assert err.startswith("error: unknown criterion 'envy'")
+    code, _, err = run(capsys, *base, "--criteria", "omms")
+    assert code == 3
+    assert err.startswith("refused: ")
+
+
+def test_a_memory_error_is_a_refusal(capsys, monkeypatch):
+    # Exit 1 would read as a false verdict. This d' makes `dominates` run out of
+    # memory; a stand-in raises, because a real allocation this large may be
+    # killed outright where memory is overcommitted.
+    def out_of_memory(command, inputs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "execute", out_of_memory)
+    argv = ["dominates", "1", "2", "9999999999999", "10000000000000"]
+    assert run(capsys, *argv) == (3, "", "refused: out of memory\n")
 
 
 def test_audit_intro_allocation(capsys):

@@ -18,7 +18,6 @@ from mmsfair.core import (
 )
 from mmsfair.criteria import (
     Allocation,
-    agent_shares,
     audit,
     bmms_value,
     omms_requirements,
@@ -608,7 +607,7 @@ def test_bmms_is_at_least_every_share_it_covers(instance, t):
                 assert bmms >= mms(instance, MmsPair(l, d)).value, (t_i, l, d)
 
 
-def test_agent_shares_computes_each_share_once(monkeypatch):
+def test_audit_computes_each_share_once(monkeypatch):
     instance = Instance((9, 7, 6, 5, 3, 2, 1))
     # Two agents share 2/9, and 2/9 and 1/5 both need the 1-out-of-5 share.
     t = EntitlementVector(
@@ -638,7 +637,9 @@ def test_agent_shares_computes_each_share_once(monkeypatch):
     for name, key in (("_search", slice(1, 3)), ("non_dominated_pairs", 0),
                       ("bmms_value", 1)):
         monkeypatch.setattr(criteria, name, counted(name, key))
-    assert agent_shares(instance, t) == expected
+    report = audit(instance, t, Allocation.from_lists([[0, 1], [2, 3], [4, 5], [6]]))
+    shares = [(list(a.omms_requirements), a.wmms_value, a.bmms_value) for a in report.agents]
+    assert shares == expected
     distinct = [Fraction(2, 9), Fraction(1, 5), Fraction(16, 45)]
     assert calls["non_dominated_pairs"] == distinct
     assert calls["bmms_value"] == distinct
@@ -666,13 +667,14 @@ def test_wmms_value_calls_sharing_a_table_search_once(monkeypatch):
     assert calls == [(1, (72, 80, 72, 45))]
 
 
-def test_agent_shares_first_refusal_is_unchanged():
+def test_audit_first_refusal_is_unchanged():
     # Agent 1 (2/5) needs 5 parts and agent 2 (4/15) needs 4: the refusal
     # names the first share beyond the bound in agent order.
     instance = Instance((5, 4, 3, 2, 1))
     t = EntitlementVector((Fraction(1, 3), Fraction(2, 5), Fraction(4, 15)))
+    alloc = Allocation.from_lists([[0, 1], [2, 3], [4]])
     with pytest.raises(InstanceTooLargeError, match="into 5 parts"):
-        agent_shares(instance, t, SearchLimits(max_items=16, max_parts=3))
+        audit(instance, t, alloc, SearchLimits(max_items=16, max_parts=3))
 
 
 def test_weighted_partition_refuses_past_recursion_depth():

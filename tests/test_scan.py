@@ -8,6 +8,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from mmsfair import core, criteria, scan
+from mmsfair.cli import main
 from mmsfair.core import EntitlementVector, Instance, InstanceTooLargeError
 from mmsfair.criteria import bmms_value, weighted_maximin_partition
 from mmsfair.engine import mms
@@ -286,6 +287,23 @@ def test_scan_rows_match_a_row_by_row_reference(max_items, grid, grid_vectors):
     assert report.summary()["rows_equal_entitlements"] == sum(
         len(set(row.entitlements)) == 1 for row in report.rows
     )
+
+
+def test_a_bmms_route_below_the_search_raises_the_alarm(monkeypatch, tmp_path, capsys):
+    # BMMS is at least WMMS and OMMS (module docstring), so only a broken BMMS
+    # route can flag a row: (5, 5) at 1/2, 1/2 has WMMS = OMMS = 5 for both agents.
+    monkeypatch.setattr(criteria, "bmms_value", lambda *args: Fraction(0))
+    report = notion_separation_scan(2, [5], [tied(2)])
+    assert [(r.items, r.bmms_below_wmms, r.bmms_below_omms) for r in report.rows] == [
+        ((5,), (), ()), ((5, 5), (0, 1), (0, 1))]
+    assert report.summary()["bmms_conjecture_counterexamples"] == 1
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--max-items", "2", "--values", "5", "--entitlements", "1/2,1/2",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "BMMS-implies-WMMS/OMMS: COUNTEREXAMPLE FOUND in 1 row(s)")
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[-2:] for line in lines[1:]] == [["0", "0"]] * 2 + [["1", "1"]] * 2
 
 
 def test_scan_computes_pair_sets_subset_sums_and_tied_shares_once(monkeypatch):
