@@ -22,7 +22,6 @@ from .core import (
     Instance,
     InstanceTooLargeError,
     MmsPair,
-    canonicalize,
     format_rational,
     parse_items,
     parse_rational,
@@ -79,14 +78,15 @@ def _exec_mms(inputs: dict) -> tuple[int, dict]:
     instance = Instance(_list(inputs["items"], "items"))
     pair = MmsPair.parse(inputs["pair"])
     result = mms(instance, pair, _limits(inputs))
-    canonical = canonicalize(instance)
+    canonical = sorted(instance.items, reverse=True)
+    parts = result.witness.parts(canonical)
     outputs = {
         "pair": str(pair),
         "value": result.value,
-        "canonical_items": list(canonical.items),
+        "canonical_items": canonical,
         "witness": {"d": result.witness.d, "part_of": list(result.witness.part_of)},
-        "witness_parts": result.witness.parts(canonical.items),
-        "witness_part_sums": result.witness.part_sums(canonical.items),
+        "witness_parts": parts,
+        "witness_part_sums": [sum(part) for part in parts],
     }
     return EXIT_OK, outputs
 

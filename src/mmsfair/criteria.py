@@ -12,20 +12,16 @@ Three notions are evaluated exactly:
 
 WMMS and BMMS values are exact rationals. BMMS deliberately uses a
 subset-sum enumeration rather than the labeled-partition search, so the
-two routes cross-check each other where they must agree. `audit`
-and a scan compute each value-only search once per instance, in a table
-keyed by (l, scale), so a tied vector's WMMS (scale all ones) is the
-1-out-of-n entry OMMS reads; the sorted subset sums and each entitlement's
-OMMS requirements and BMMS once per instance, each pair set once per
-(entitlement, item count): see `ShareTables`. The search checks its own
-bound; BMMS, which does not search, checks its own.
+two routes cross-check each other where they must agree. `audit` and a
+scan read every agent's values from `ShareTables.agents`. The search checks
+its own bound; BMMS, which does not search, checks its own.
 
 Neither inner loop does Fraction arithmetic. The WMMS search puts the
 entitlements over a common denominator W, so w_j = t_j*W are integers;
 with L = lcm(w) and c_j = L // w_j, each ratio s/t_j is s*c_j * W/L. An
 `EntitlementVector` keeps (W, L, c) and each t_i = p/q from when it is
-built; the search compares the integer keys s*c_j, and agent i's WMMS is
-the one Fraction p*key*W / (q*L). The search is `engine._search` at l = 1
+built; the search compares the integer keys s*c_j, and WMMS is one Fraction
+per agent (`ShareTables.agents`). The search is `engine._search` at l = 1
 with scale c_j, parts of equal entitlement as twins. `engine` states
 its rules and its routes: `weighted_maximin_partition` takes the lex-first
 one, the shares and WMMS of `audit`, `scan` and `wmms_value` the value-only
@@ -84,16 +80,24 @@ class ShareTables:
             shares[key] = _search(instance.items, l, scale, False, limits)[0]
         return shares[key]
 
-    def entitlement(self, instance: Instance, key: tuple[int, int], a: Fraction,
-                    limits: SearchLimits) -> tuple[list, Value, Fraction, tuple[int, int]]:
-        # OMMS first, then BMMS: the order, and so the first refusal, of a fresh table.
+    def agents(self, instance: Instance, t: EntitlementVector, limits: SearchLimits
+               ) -> list[tuple[tuple[list, Value, Fraction, tuple[int, int]], tuple[int, int]]]:
+        """Per agent of `t`, in order: its entry (OMMS requirements, their largest
+        value, BMMS and BMMS as an integer pair), kept per instance by t_i = p/q so
+        equal entitlements share it, and WMMS_i = p*key*W / (q*L) as the integer
+        pair (`key` the weighted search's value). The weighted search runs first,
+        then OMMS and BMMS per new entitlement: the first refusal is the agents' first."""
+        den, top, scale = t.wmms_keys
+        best, rows = self.share(instance, 1, scale, limits) * den, []
         entitlements = self.of(instance).entitlements
-        if key not in entitlements:
-            requirements = omms_requirements(instance, a, limits, self)
-            bmms = bmms_value(instance, a, limits, self)
-            entitlements[key] = (requirements, max((v for _, v in requirements), default=0),
-                                 bmms, bmms.as_integer_ratio())
-        return entitlements[key]
+        for (p, q), a in zip(t.lowest_terms, t):
+            if (p, q) not in entitlements:
+                requirements = omms_requirements(instance, a, limits, self)
+                bmms = bmms_value(instance, a, limits, self)
+                entitlements[p, q] = (requirements, max((v for _, v in requirements), default=0),
+                                      bmms, bmms.as_integer_ratio())
+            rows.append((entitlements[p, q], (p * best, q * top)))
+        return rows
 
 
 def omms_requirements(
@@ -253,22 +257,17 @@ def audit(
     alloc: Allocation,
     limits: SearchLimits = DEFAULT_LIMITS,
 ) -> FairnessReport:
-    """Per-agent verdicts for all three criteria on one allocation. The
-    weighted search runs first, then each agent's table entry in agent order
-    (agents with equal entitlements share one), so the first refusal is the
-    one the agents meet in order; WMMS_i is p*key*W / (q*L)."""
+    """Per-agent verdicts for all three criteria on one allocation, from
+    `ShareTables.agents`."""
     if len(alloc.bundles) != len(t):
         raise ValueError(
             f"allocation has {len(alloc.bundles)} bundles for {len(t)} agents"
         )
     alloc.validate_for(instance)
-    tables = ShareTables()
-    den, top, scale = t.wmms_keys
-    best = tables.share(instance, 1, scale, limits) * den
     audits = []
-    for i, ((p, q), a) in enumerate(zip(t.lowest_terms, t)):
-        requirements, omms_max, bmms, _ = tables.entitlement(instance, (p, q), a, limits)
-        value, wmms = alloc.bundle_value(instance, i), Fraction(p * best, q * top)
+    for i, ((requirements, omms_max, bmms, _), wmms) in enumerate(
+            ShareTables().agents(instance, t, limits)):
+        value, wmms = alloc.bundle_value(instance, i), Fraction(*wmms)
         audits.append(AgentAudit(i, value, tuple(requirements), value >= omms_max,
                                  wmms, value >= wmms, bmms, value >= bmms))
     return FairnessReport(tuple(audits))

@@ -5,8 +5,9 @@ possibly-empty parts, of the sum of the l smallest part sums. `mms` and
 the WMMS search of `criteria` run one search, `_search`: it maximizes the
 sum of the l smallest keys s_j*scale[j] (s_j: part sums). `mms` has unit
 scale; WMMS has l = 1 and scale c_j; l > 1 comes with unit scale only.
-It is the one entry, so it alone decides whether a search runs: at l >= 1
-it refuses past the caller's `SearchLimits`, then past its recursion depth.
+It is the one entry, so it decides whether a search runs: at l >= 1 it refuses
+past the caller's `SearchLimits` (which `mms` checks first, before it builds
+its d unit scales), then past its recursion depth.
 A part takes an item only when its sum differs from its twin's, the previous
 part of its scale (of equal entitlement in WMMS): swapping the two labels
 from that item on keeps all keys and lowers the vector. The search walks the
@@ -327,6 +328,8 @@ def mms(
     order of first use. Raises InstanceTooLargeError beyond `limits`,
     except for l == 0, which needs no search.
     """
+    if pair.l:  # the part bound; `_search` would check it after `(1,) * d`
+        limits.check(len(instance.items), pair.d)
     value, part_of = _search(instance.items, pair.l, (1,) * pair.d, True, limits)
     return MmsResult(value, PartitionAssignment(part_of, pair.d))
 

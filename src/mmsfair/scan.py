@@ -121,7 +121,7 @@ def _instances(
     # their values in the descending grid; a full scan unranks every rank in
     # that listing, a sample only the ranks it draws.
     grid = sorted(set(value_grid), reverse=True)
-    if not grid:
+    if not grid:  # not only a shortcut: `starts` below would hold max_items + 1 zeros
         return []
     n, sizes = len(grid), range(1, max_items + 1)
     starts = [0, *itertools.accumulate(comb(n + size - 1, size) for size in sizes)]
@@ -152,16 +152,11 @@ def scan_one(
     limits: SearchLimits = DEFAULT_LIMITS,
     tables: ShareTables | None = None,
 ) -> ScanRow:
-    # One pass over the agents, on integer pairs compared by cross-multiplying
-    # (denominators are positive): WMMS_i is p*key*W / (q*L) (`criteria`), OMMS_i
-    # over 1, BMMS_i the table's (once per entitlement); `flags` are the row's last four.
+    # `ShareTables.agents`, compared as integer pairs by cross-multiplying
+    # (denominators are positive; OMMS_i over 1); `flags` are the row's last four.
     tables = ShareTables() if tables is None else tables
-    den, top, scale = t.wmms_keys
-    best = tables.share(instance, 1, scale, limits) * den
     omms_max, wmms, bmms, flags = [], [], [], ([], [], [], [])
-    for i, ((p, q), a) in enumerate(zip(t.lowest_terms, t)):
-        _, o, b, (bn, bd) = tables.entitlement(instance, (p, q), a, limits)
-        wn, wd = p * best, q * top
+    for i, ((_, o, b, (bn, bd)), (wn, wd)) in enumerate(tables.agents(instance, t, limits)):
         omms_max.append(o)
         wmms.append(Fraction(wn, wd))
         bmms.append(b)

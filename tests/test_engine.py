@@ -4,6 +4,7 @@ import math
 import operator
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,19 @@ def test_mms_refuses_oversized_instances():
     # overridable
     wide = SearchLimits(max_items=18, max_parts=11)
     assert mms(Instance((1,) * 17), MmsPair(1, 2), wide).value == 8
+
+
+def test_mms_refuses_a_huge_part_count_before_building_its_scales():
+    # The part bound is checked before the d unit scales exist: at d = 10**6
+    # the tuple alone takes 8 MB, at d = 10**10 80 GB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceTooLargeError, match="2 items into 1000000 parts"):
+            mms(Instance((1, 2)), MmsPair(1, 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_mms_zero_l_needs_no_search_and_is_never_refused():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mmsfair import core, criteria, scan
 from mmsfair.cli import main
 from mmsfair.core import EntitlementVector, Instance, InstanceTooLargeError
-from mmsfair.criteria import bmms_value, weighted_maximin_partition
+from mmsfair.criteria import Allocation, audit, bmms_value, weighted_maximin_partition
 from mmsfair.engine import mms
 from mmsfair.pairs import non_dominated_pairs
 from mmsfair.scan import (
@@ -287,6 +287,24 @@ def test_scan_rows_match_a_row_by_row_reference(max_items, grid, grid_vectors):
     assert report.summary()["rows_equal_entitlements"] == sum(
         len(set(row.entitlements)) == 1 for row in report.rows
     )
+
+
+@seed(15)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 9), max_size=6), vectors)
+# Zeros and ties, fewer items than agents, and 74/100 with 26/100.
+@example([0, 7, 7], tied(4))
+@example([9, 5, 3, 1], T_74_26)
+def test_audit_and_scan_one_report_the_same_shares(items, t):
+    instance = Instance(tuple(items))
+    everything_to_agent_0 = [list(range(len(items)))] + [[] for _ in range(len(t) - 1)]
+    report = audit(instance, t, Allocation.from_lists(everything_to_agent_0))
+    row = scan.scan_one(instance, t)
+    assert len(report.agents) == len(row.wmms) == len(t)
+    for i, agent in enumerate(report.agents):
+        assert max((v for _, v in agent.omms_requirements), default=0) == row.omms_max[i]
+        assert agent.wmms_value == row.wmms[i]
+        assert agent.bmms_value == row.bmms[i]
 
 
 def test_a_bmms_route_below_the_search_raises_the_alarm(monkeypatch, tmp_path, capsys):
