@@ -6,7 +6,7 @@ entitlement), `audit` (allocation fairness report), `scan` (notion
 separation sweep). Every command supports --json; outputs are
 deterministic, so repeated runs are byte-identical. Exit codes: 0 success
 or true verdict, 1 false verdict, 2 usage or parse error, 3 refused by the
-search safety bound.
+search safety bound, or out of memory.
 """
 from __future__ import annotations
 

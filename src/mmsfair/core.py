@@ -153,9 +153,8 @@ class EntitlementVector:
     """Strictly positive rational entitlements summing to exactly 1."""
 
     entitlements: tuple[Fraction, ...]
-    # Set once, when built: its `ratio_keys` and each entitlement as (p, q).
+    # Set once, when built: its `ratio_keys`.
     wmms_keys: tuple[int, int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    lowest_terms: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -165,7 +164,6 @@ class EntitlementVector:
         total = sum(self.entitlements)
         if total != 1:
             raise ValueError(f"entitlements must sum to 1, got {total}")
-        object.__setattr__(self, "lowest_terms", tuple(t.as_integer_ratio() for t in self))
 
     def __len__(self) -> int:
         return len(self.entitlements)

@@ -19,14 +19,14 @@ its own bound; BMMS, which does not search, checks its own.
 Neither inner loop does Fraction arithmetic. The WMMS search puts the
 entitlements over a common denominator W, so w_j = t_j*W are integers;
 with L = lcm(w) and c_j = L // w_j, each ratio s/t_j is s*c_j * W/L. An
-`EntitlementVector` keeps (W, L, c) and each t_i = p/q from when it is
-built; the search compares the integer keys s*c_j, and WMMS is one Fraction
-per agent (`ShareTables.agents`). The search is `engine._search` at l = 1
-with scale c_j, parts of equal entitlement as twins. `engine` states
-its rules and its routes: `weighted_maximin_partition` takes the lex-first
-one, the shares and WMMS of `audit`, `scan` and `wmms_value` the value-only
-one. BMMS bisects the sorted subset sums for t_i*T and scores the two on
-either side of it.
+`EntitlementVector` keeps (W, L, c) from when it is built; the search
+compares the integer keys s*c_j, and WMMS is one Fraction per agent
+(`ShareTables.agents`). The search is `engine._search` at l = 1
+with scale c_j, parts of equal entitlement as twins. `engine` states its
+rules, its re-check and its routes: `weighted_maximin_partition` takes the
+lex-first one, the shares and WMMS of `audit`, `scan` and `wmms_value` the
+value-only one. BMMS bisects the sorted subset sums for t_i*T and scores the
+two on either side, where the split value, unimodal in the sum, peaks.
 """
 from __future__ import annotations
 
@@ -60,9 +60,9 @@ def check_criteria(names: Sequence[str]) -> None:
 class ShareTables:
     """For the current instance object: value-only searches by (l, scale), the
     sorted subset sums, and each entitlement's OMMS requirements, their largest
-    value and BMMS (also as an integer pair) by its lowest terms (p, q); pair
-    sets by (entitlement, item count). For one call or scan. OMMS reads
-    (l, (1,)*d), WMMS (1, c): a tied vector's is 1-out-of-n."""
+    value and BMMS by its lowest terms (p, q); pair sets by (entitlement, item
+    count). For one call or scan. OMMS reads (l, (1,)*d), WMMS (1, c): a tied
+    vector's is 1-out-of-n."""
 
     def __init__(self) -> None:
         self.instance, self.pairs = None, {}
@@ -81,22 +81,21 @@ class ShareTables:
         return shares[key]
 
     def agents(self, instance: Instance, t: EntitlementVector, limits: SearchLimits
-               ) -> list[tuple[tuple[list, Value, Fraction, tuple[int, int]], tuple[int, int]]]:
-        """Per agent of `t`, in order: its entry (OMMS requirements, their largest
-        value, BMMS and BMMS as an integer pair), kept per instance by t_i = p/q so
-        equal entitlements share it, and WMMS_i = p*key*W / (q*L) as the integer
-        pair (`key` the weighted search's value). The weighted search runs first,
-        then OMMS and BMMS per new entitlement: the first refusal is the agents' first."""
+               ) -> list[tuple]:
+        """Per agent of `t`, in order: (OMMS requirements, their largest value,
+        BMMS, numerator and denominator of WMMS_i = p*key*W / (q*L)), `key` the
+        weighted search's value. The weighted search runs first, then OMMS and
+        BMMS per new entitlement: the first refusal is the agents' first."""
         den, top, scale = t.wmms_keys
         best, rows = self.share(instance, 1, scale, limits) * den, []
         entitlements = self.of(instance).entitlements
-        for (p, q), a in zip(t.lowest_terms, t):
-            if (p, q) not in entitlements:
+        for a in t:
+            p, q = key = a.as_integer_ratio()
+            if key not in entitlements:
                 requirements = omms_requirements(instance, a, limits, self)
-                bmms = bmms_value(instance, a, limits, self)
-                entitlements[p, q] = (requirements, max((v for _, v in requirements), default=0),
-                                      bmms, bmms.as_integer_ratio())
-            rows.append((entitlements[p, q], (p * best, q * top)))
+                entitlements[key] = (requirements, max((v for _, v in requirements), default=0),
+                                     bmms_value(instance, a, limits, self))
+            rows.append((*entitlements[key], p * best, q * top))
         return rows
 
 
@@ -150,7 +149,7 @@ def wmms_value(
     if not 0 <= i < len(t):
         raise ValueError(f"agent index {i} outside 0..{len(t) - 1}")
     den, top, scale = t.wmms_keys
-    p, q = t.lowest_terms[i]
+    p, q = t[i].as_integer_ratio()
     tables = ShareTables() if tables is None else tables
     return Fraction(p * tables.share(instance, 1, scale, limits) * den, q * top)
 
@@ -265,9 +264,9 @@ def audit(
         )
     alloc.validate_for(instance)
     audits = []
-    for i, ((requirements, omms_max, bmms, _), wmms) in enumerate(
+    for i, (requirements, omms_max, bmms, wn, wd) in enumerate(
             ShareTables().agents(instance, t, limits)):
-        value, wmms = alloc.bundle_value(instance, i), Fraction(*wmms)
+        value, wmms = alloc.bundle_value(instance, i), Fraction(wn, wd)
         audits.append(AgentAudit(i, value, tuple(requirements), value >= omms_max,
                                  wmms, value >= wmms, bmms, value >= bmms))
     return FairnessReport(tuple(audits))

@@ -10,6 +10,9 @@ every l-out-of-d share with l/d <= t_i: the l smallest parts X, of sum s,
 of an optimal partition leave d - l parts of at least s/l each, so
 V(rest)/(1 - t_i) >= (d - l)s/(l(1 - t_i)) >= s/t_i. So a row counted
 against it is an alarm: BMMS (subset sums) and the search disagree.
+One `criteria.ShareTables` serves all rows of a scan and goes with it. A row
+compares the integer pairs of `ShareTables.agents` by cross-multiplying, with
+no Fraction arithmetic (denominators are positive; OMMS_i over 1).
 """
 from __future__ import annotations
 
@@ -152,11 +155,10 @@ def scan_one(
     limits: SearchLimits = DEFAULT_LIMITS,
     tables: ShareTables | None = None,
 ) -> ScanRow:
-    # `ShareTables.agents`, compared as integer pairs by cross-multiplying
-    # (denominators are positive; OMMS_i over 1); `flags` are the row's last four.
     tables = ShareTables() if tables is None else tables
-    omms_max, wmms, bmms, flags = [], [], [], ([], [], [], [])
-    for i, ((_, o, b, (bn, bd)), (wn, wd)) in enumerate(tables.agents(instance, t, limits)):
+    omms_max, wmms, bmms, flags = [], [], [], ([], [], [], [])  # flags: the row's last four
+    for i, (_, o, b, wn, wd) in enumerate(tables.agents(instance, t, limits)):
+        bn, bd = b.as_integer_ratio()
         omms_max.append(o)
         wmms.append(Fraction(wn, wd))
         bmms.append(b)

@@ -537,6 +537,33 @@ def test_module_entry_point_subprocess():
     assert "value: 7" in proc.stdout
 
 
+def test_the_installed_entry_point_is_main():
+    # Every README command runs through this script; CI runs from src/ and
+    # never installs it. A regex, not tomllib, which needs Python 3.11.
+    import importlib
+    import re
+
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    target = re.search(r'^mmsfair\s*=\s*"([\w.]+):(\w+)"\s*$', section.group(1), re.M)
+    module, name = target.groups()
+    assert getattr(importlib.import_module(module), name) is main
+
+
+def test_audit_and_scan_read_an_entitlement_by_value_however_spelled():
+    # Share-table entries are keyed by value, so "0.4" and "2/5" share one.
+    decimals, fractions = ["0.4", "0.6"], ["2/5", "3/5"]
+    audit_inputs = {"items": [1, 3, 5, 6, 9], "allocation": [[0, 3], [1, 2, 4]]}
+    audited = execute("audit", dict(audit_inputs, entitlements=decimals))
+    assert execute("audit", dict(audit_inputs, entitlements=fractions)) == audited
+    scan_inputs = {"max_items": 3, "value_grid": [0, 1, 2, 40, 60]}
+    scanned = execute("scan", dict(scan_inputs, entitlement_grid=[decimals]))
+    assert execute("scan", dict(scan_inputs, entitlement_grid=[fractions])) == scanned
+    # Both spellings in one scan, which shares one table: the rows pair up.
+    _, both = execute("scan", dict(scan_inputs, entitlement_grid=[decimals, fractions]))
+    assert both["rows"][::2] == both["rows"][1::2] == scanned[1]["rows"]
+
+
 def test_no_command_prints_help(capsys):
     code, out, _ = run(capsys)
     assert code == 2
