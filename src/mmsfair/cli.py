@@ -6,12 +6,14 @@ entitlement), `audit` (allocation fairness report), `scan` (notion
 separation sweep). Every command supports --json; outputs are
 deterministic, so repeated runs are byte-identical. Exit codes: 0 success
 or true verdict, 1 false verdict, 2 usage or parse error, 3 refused by the
-search safety bound, or out of memory.
+search safety bound, or out of memory. A reader that closes standard output
+early (`| head`) does not change the code: the answer was computed.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -30,7 +32,7 @@ from .criteria import CRITERIA, Allocation, audit, check_criteria
 from .dominance import decompose, dominates
 from .engine import DEFAULT_LIMITS, SearchLimits, mms, mms_cardinality
 from .pairs import candidate_pairs, filtration_trace
-from .scan import notion_separation_scan, report_jsonable, write_csv_rows
+from .scan import _scan_jsonable, write_csv_rows
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -173,15 +175,10 @@ def _exec_scan(inputs: dict) -> tuple[int, dict]:
         for vector in _list(inputs.get("entitlement_grid", []), "entitlement_grid")
     ]
     max_instances = inputs.get("max_instances")
-    report = notion_separation_scan(
-        _int(inputs.get("max_items", 0)),
-        value_grid,
-        entitlement_grid,
-        max_instances=None if max_instances is None else _int(max_instances),
-        seed=_int(inputs.get("seed", 0)),
-        limits=_limits(inputs),
-    )
-    return EXIT_OK, report_jsonable(report)
+    return EXIT_OK, _scan_jsonable(
+        _int(inputs.get("max_items", 0)), value_grid, entitlement_grid,
+        None if max_instances is None else _int(max_instances), _int(inputs.get("seed", 0)),
+        _limits(inputs))
 
 
 def _render_mms(outputs: dict, args: argparse.Namespace) -> str:
@@ -466,10 +463,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.json:
-        print(json.dumps(envelope, sort_keys=True, indent=2))
-    else:
-        print(render(outputs, args))
+    text = json.dumps(envelope, sort_keys=True, indent=2) if args.json else render(outputs, args)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader left (`| head`), and the exit flush must stay quiet
+        sys.stdout = open(os.devnull, "w")
     return code
 
 

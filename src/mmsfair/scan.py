@@ -12,7 +12,11 @@ V(rest)/(1 - t_i) >= (d - l)s/(l(1 - t_i)) >= s/t_i. So a row counted
 against it is an alarm: BMMS (subset sums) and the search disagree.
 One `criteria.ShareTables` serves all rows of a scan and goes with it. A row
 compares the integer pairs of `ShareTables.agents` by cross-multiplying, with
-no Fraction arithmetic (denominators are positive; OMMS_i over 1).
+no Fraction arithmetic (denominators are positive; OMMS_i over 1), in
+`_agent_values`, the flags' one home. The CLI's `_scan_jsonable` writes the JSON
+in one pass, with no ScanRow, ScanReport or Fraction per row; the tests hold it
+to the reference, `report_jsonable(notion_separation_scan(...))`. Both lay rows
+out and count with `_row_dict`.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import IO, Sequence
 
 from .core import EntitlementVector, Instance, InstanceTooLargeError, Value, format_rational
@@ -54,6 +58,12 @@ class ScanRow:
         return not self.wmms_stronger and not self.omms_stronger
 
 
+# The row fields behind the four flags, the CSV's last four columns.
+_FLAGS = ("wmms_stronger", "omms_stronger", "bmms_below_wmms", "bmms_below_omms")
+_SUMMARY = ("rows", "rows_wmms_strictly_stronger", "rows_omms_strictly_stronger",
+            "rows_equal_entitlements", "bmms_conjecture_counterexamples")
+
+
 @dataclass(frozen=True, slots=True)
 class ScanReport:
     rows: tuple[ScanRow, ...]
@@ -64,44 +74,44 @@ class ScanReport:
         return [r for r in self.rows if r.bmms_below_wmms or r.bmms_below_omms]
 
     def summary(self) -> dict:
-        return {
-            "rows": len(self.rows),
-            "rows_wmms_strictly_stronger": sum(1 for r in self.rows if r.wmms_stronger),
-            "rows_omms_strictly_stronger": sum(1 for r in self.rows if r.omms_stronger),
-            "rows_equal_entitlements": sum(1 for r in self.rows if r.equal_entitlements),
-            "bmms_conjecture_counterexamples": len(self.conjecture_counterexamples()),
-        }
+        return report_jsonable(self)["summary"]
 
 
-def _row_jsonable(row: ScanRow) -> dict:
+def _row_dict(counts, items, omms_max, equal, flags, entitlements, wmms, bmms) -> dict:
+    """A row's JSON, counted into `counts`: the summary, in `_SUMMARY` order."""
+    counts[0] += 1
+    counts[1] += bool(flags[0])
+    counts[2] += bool(flags[1])
+    counts[3] += equal
+    counts[4] += bool(flags[2] or flags[3])
     return {
-        "items": list(row.items),
-        "entitlements": [format_rational(t) for t in row.entitlements],
-        "omms_max": list(row.omms_max),
-        "wmms": [format_rational(v) for v in row.wmms],
-        "bmms": [format_rational(v) for v in row.bmms],
-        "wmms_stronger": list(row.wmms_stronger),
-        "omms_stronger": list(row.omms_stronger),
-        "bmms_below_wmms": list(row.bmms_below_wmms),
-        "bmms_below_omms": list(row.bmms_below_omms),
-        "equal_entitlements": row.equal_entitlements,
-        "omms_wmms_coincide": row.omms_wmms_coincide,
+        "items": list(items),
+        "entitlements": list(entitlements),
+        "omms_max": omms_max,
+        "wmms": wmms,
+        "bmms": bmms,
+        "wmms_stronger": flags[0],
+        "omms_stronger": flags[1],
+        "bmms_below_wmms": flags[2],
+        "bmms_below_omms": flags[3],
+        "equal_entitlements": equal,
+        "omms_wmms_coincide": not (flags[0] or flags[1]),
     }
 
 
 def report_jsonable(report: ScanReport) -> dict:
-    return {
-        "seed": report.seed,
-        "rows": [_row_jsonable(r) for r in report.rows],
-        "summary": report.summary(),
-    }
+    counts = [0] * len(_SUMMARY)
+    rows = [_row_dict(counts, r.items, list(r.omms_max), r.equal_entitlements,
+                      [list(getattr(r, flag)) for flag in _FLAGS],
+                      *([format_rational(v) for v in values]
+                        for values in (r.entitlements, r.wmms, r.bmms)))
+            for r in report.rows]
+    return {"seed": report.seed, "rows": rows, "summary": dict(zip(_SUMMARY, counts))}
 
 
 CSV_COLUMNS = ["items", "entitlements", "agent", "omms_max", "wmms", "bmms",
                "wmms_stronger_than_omms", "omms_stronger_than_wmms", "bmms_below_wmms",
                "bmms_below_omms"]
-# The row fields behind the last four columns.
-_FLAGS = ("wmms_stronger", "omms_stronger", "bmms_below_wmms", "bmms_below_omms")
 
 
 def write_csv_rows(rows: Sequence[dict], out: IO[str]) -> None:
@@ -120,6 +130,8 @@ def write_csv_rows(rows: Sequence[dict], out: IO[str]) -> None:
 def _instances(
     max_items: int, value_grid: Sequence[Value], max_instances: int | None, seed: int
 ) -> list[tuple[Value, ...]]:
+    if max_items < 0 or max_instances is not None and max_instances < 0:
+        raise ValueError(f"need max_items, max_instances >= 0: {max_items}, {max_instances}")
     # Multisets by size, each size in lexicographic order of the indices of
     # their values in the descending grid; a full scan unranks every rank in
     # that listing, a sample only the ranks it draws.
@@ -149,19 +161,16 @@ def _instances(
     return sorted(chosen, key=lambda t: (len(t), t))
 
 
-def scan_one(
-    instance: Instance,
-    t: EntitlementVector,
-    limits: SearchLimits = DEFAULT_LIMITS,
-    tables: ShareTables | None = None,
-) -> ScanRow:
-    tables = ShareTables() if tables is None else tables
-    omms_max, wmms, bmms, flags = [], [], [], ([], [], [], [])  # flags: the row's last four
-    for i, (_, o, b, wn, wd) in enumerate(tables.agents(instance, t, limits)):
+def _agent_values(instance, t, limits, tables) -> tuple:
+    """`ShareTables.agents`, OMMS max and "p/q" of WMMS and BMMS per agent; the flags."""
+    agents = tables.agents(instance, t, limits)
+    omms_max, wmms, bmms, flags = [], [], [], ([], [], [], [])
+    for i, (_, o, b, wn, wd) in enumerate(agents):
         bn, bd = b.as_integer_ratio()
+        g = gcd(wn, wd)
         omms_max.append(o)
-        wmms.append(Fraction(wn, wd))
-        bmms.append(b)
+        wmms.append(f"{wn // g}/{wd // g}")
+        bmms.append(f"{bn}/{bd}")
         if wn > o * wd:
             flags[0].append(i)
         elif o * wd > wn:
@@ -170,8 +179,20 @@ def scan_one(
             flags[2].append(i)
         if bn < o * bd:
             flags[3].append(i)
-    return ScanRow(tuple(instance.items), tuple(t.entitlements), tuple(omms_max), tuple(wmms),
-                   tuple(bmms), *map(tuple, flags))
+    return agents, omms_max, wmms, bmms, flags
+
+
+def scan_one(
+    instance: Instance,
+    t: EntitlementVector,
+    limits: SearchLimits = DEFAULT_LIMITS,
+    tables: ShareTables | None = None,
+) -> ScanRow:
+    agents, omms_max, _, _, flags = _agent_values(
+        instance, t, limits, ShareTables() if tables is None else tables)
+    return ScanRow(tuple(instance.items), tuple(t.entitlements), tuple(omms_max),
+                   tuple(Fraction(wn, wd) for *_, wn, wd in agents),
+                   tuple(b for _, _, b, _, _ in agents), *map(tuple, flags))
 
 
 def notion_separation_scan(
@@ -186,12 +207,18 @@ def notion_separation_scan(
     """Scan every multiset of 1..max_items values from `value_grid` against
     every entitlement vector; sample deterministically when the multiset
     count exceeds `max_instances`. Rows are sorted by instance encoding."""
-    if max_items < 0 or max_instances is not None and max_instances < 0:
-        raise ValueError(f"need max_items, max_instances >= 0: {max_items}, {max_instances}")
-    rows = []
     tables = ShareTables()  # one for all rows: see ShareTables
-    for items in _instances(max_items, value_grid, max_instances, seed):
-        instance = Instance(items)
-        for t in entitlement_grid:
-            rows.append(scan_one(instance, t, limits, tables))
+    rows = [scan_one(instance, t, limits, tables)
+            for instance in map(Instance, _instances(max_items, value_grid, max_instances, seed))
+            for t in entitlement_grid]
     return ScanReport(rows=tuple(rows), seed=seed)
+
+
+def _scan_jsonable(max_items, value_grid, entitlement_grid, max_instances, seed, limits) -> dict:
+    vectors = [(t, [format_rational(a) for a in t], len(set(t)) == 1) for t in entitlement_grid]
+    tables, rows, counts = ShareTables(), [], [0] * len(_SUMMARY)
+    for instance in map(Instance, _instances(max_items, value_grid, max_instances, seed)):
+        for t, texts, equal in vectors:
+            _, omms, wmms, bmms, flags = _agent_values(instance, t, limits, tables)
+            rows.append(_row_dict(counts, instance.items, omms, equal, flags, texts, wmms, bmms))
+    return {"seed": seed, "rows": rows, "summary": dict(zip(_SUMMARY, counts))}

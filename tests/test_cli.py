@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -906,3 +907,24 @@ def test_minimal_argv_builds_every_default_input(capsys, argv, inputs, helps):
     shown = "".join(capsys.readouterr().out.split())
     for text in helps:
         assert "".join(text.split()) in shown, text
+
+
+class _ClosedPipe(io.StringIO):
+    # A standard output whose reader has left, as under `mmsfair ... | head`.
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["dominates", "1", "2", "1", "3"], 0),
+    (["dominates", "1", "3", "1", "2", "--json"], 1),
+    (["mms", "--pair", "0/2000", "--items", "5,4"], 0),
+])
+def test_a_closed_stdout_keeps_the_exit_code_and_says_nothing(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    try:
+        assert main(argv) == code
+        assert not isinstance(sys.stdout, _ClosedPipe)  # the exit flush goes to devnull
+    finally:
+        sys.stdout.close()
+    assert capsys.readouterr().err == ""

@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -8,10 +9,10 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from mmsfair import core, criteria, scan
-from mmsfair.cli import main
+from mmsfair.cli import execute, main
 from mmsfair.core import EntitlementVector, Instance, InstanceTooLargeError
 from mmsfair.criteria import Allocation, audit, bmms_value, weighted_maximin_partition
-from mmsfair.engine import mms
+from mmsfair.engine import SearchLimits, mms
 from mmsfair.pairs import non_dominated_pairs
 from mmsfair.scan import (
     CSV_COLUMNS,
@@ -352,3 +353,94 @@ def test_scan_computes_pair_sets_subset_sums_and_tied_shares_once(monkeypatch):
     assert sorted(items for items, in calls["_subset_sums"]) == sorted(instances)
     weighted = [scale for _, _, scale, _, _ in calls["_search"] if set(scale) != {1}]
     assert len(weighted) == 3 * len(instances)
+
+
+def _scan_both_routes(max_items, grid, grid_vectors, max_instances, seed, max_parts=10):
+    # `execute("scan", ...)` (the JSON route) and the reference route on the
+    # same scan, with the search bounds `execute` derives from the inputs.
+    inputs = {"max_items": max_items, "value_grid": grid, "max_instances": max_instances,
+              "seed": seed, "max_parts": max_parts,
+              "entitlement_grid": [[core.format_rational(a) for a in t] for t in grid_vectors]}
+    limits = SearchLimits(max_items=max_items, max_parts=max_parts)
+    return (lambda: execute("scan", inputs)[1],
+            lambda: report_jsonable(notion_separation_scan(
+                max_items, grid, grid_vectors, max_instances=max_instances, seed=seed,
+                limits=limits)))
+
+
+def _csv(rows):
+    out = io.StringIO()
+    write_csv_rows(rows, out)
+    return out.getvalue()
+
+
+@seed(34)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(st.integers(0, 30), min_size=1, max_size=4),
+    st.lists(vectors, min_size=1, max_size=4),
+    st.none() | st.integers(0, 15),
+    st.integers(0, 3),
+)
+# Zeros and ties, every tied vector and 74/100 with 26/100, full and sampled.
+@example(3, [0, 7, 7], [tied(2), tied(3), tied(4), T_74_26], None, 0)
+@example(4, [0, 1, 40, 60], [T_40_60, T_SKEW, T_74_26, tied(3)], 12, 1)
+@example(4, [0, 1, 40, 60], [T_40_60, T_SKEW, T_74_26, tied(3)], 12, 2)
+def test_execute_scan_matches_the_reference_route(max_items, grid, grid_vectors,
+                                                  max_instances, sample_seed):
+    json_route, reference = _scan_both_routes(max_items, grid, grid_vectors, max_instances,
+                                              sample_seed)
+    outputs, expected = json_route(), reference()
+    # Same values, key order and types (True is not 1 in JSON).
+    assert outputs == expected
+    assert json.dumps(outputs) == json.dumps(expected)
+    assert _csv(outputs["rows"]) == _csv(expected["rows"])
+
+
+def _raised(route):
+    with pytest.raises(Exception) as info:
+        route()
+    return type(info.value), str(info.value)
+
+
+def test_both_scan_routes_refuse_alike():
+    # Three agents with room for two parts: the weighted search is refused.
+    json_route, reference = _scan_both_routes(2, [0, 5], [T_40_60, T_SKEW], None, 0, max_parts=2)
+    refusal = _raised(json_route)
+    assert refusal[0] is InstanceTooLargeError and refusal == _raised(reference)
+    # An instance above the item bound, which `execute` cannot ask for.
+    limits = SearchLimits(max_items=2)
+    refusal = _raised(lambda: scan._scan_jsonable(3, [1, 2], [T_40_60], None, 0, limits))
+    assert refusal[0] is InstanceTooLargeError and refusal == _raised(
+        lambda: notion_separation_scan(3, [1, 2], [T_40_60], limits=limits))
+    json_route, reference = _scan_both_routes(2, [1, 2], [T_40_60], -1, 0)
+    assert _raised(json_route) == _raised(reference) == (
+        ValueError, "need max_items, max_instances >= 0: 2, -1")
+
+
+@pytest.mark.parametrize("max_instances", [None, 7])
+def test_execute_scan_makes_the_reference_routes_calls(monkeypatch, max_instances):
+    # The JSON route reads the same share table as `notion_separation_scan`,
+    # so it runs the very same pair sets, enumerations and searches.
+    grid = [T_40_60, T_SKEW, tied(2), tied(3), T_74_26]
+    json_route, reference = _scan_both_routes(3, [0, 1, 40, 60], grid, max_instances, 5)
+    calls = {"non_dominated_pairs": [], "_subset_sums": [], "_search": []}
+
+    def counted(name):
+        real = getattr(criteria, name)
+
+        def wrapper(*args):
+            calls[name].append(args)
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(criteria, name, counted(name))
+    expected = reference()
+    reference_calls = {name: list(made) for name, made in calls.items()}
+    for made in calls.values():
+        made.clear()
+    assert json_route() == expected
+    assert calls == reference_calls and all(reference_calls.values())
