@@ -290,7 +290,7 @@ def _parse_allocation(text: str) -> list[list[int]]:
 
 
 def _build_audit_inputs(args: argparse.Namespace) -> dict:
-    criteria = [c for c in (args.criteria or "").split(",") if c]
+    criteria = [c.strip() for c in (args.criteria or "").split(",") if c.strip()]
     return {
         "entitlements": [s.strip() for s in args.entitlements.split(",") if s.strip()],
         "allocation": _parse_allocation(args.allocation),
@@ -455,15 +455,16 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "out", None):
             with open(args.out, "w", newline="") as handle:
                 write_csv_rows(outputs["rows"], handle)
+        text = (json.dumps(envelope, sort_keys=True, indent=2) if args.json
+                else render(outputs, args))
     except (InstanceTooLargeError, MemoryError) as exc:
         # A MemoryError carries no message; exit 1 would read as a false verdict.
         print(f"refused: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_REFUSED
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # also str() of an int past Python's digit limit
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    text = json.dumps(envelope, sort_keys=True, indent=2) if args.json else render(outputs, args)
     try:
         print(text, flush=True)
     except BrokenPipeError:  # the reader left (`| head`), and the exit flush must stay quiet

@@ -21,9 +21,9 @@ class InstanceTooLargeError(Exception):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a decimal string like "0.74" into an exact Fraction;
-    anything but a string, such as the float 0.5, raises."""
-    if isinstance(text, str):
+    """Parse "p/q" or a decimal like "0.74" into an exact Fraction; a non-string
+    (the float 0.5) or exponent notation ("1e-9": Fraction builds 10^9) raises."""
+    if isinstance(text, str) and "e" not in text.lower():
         try:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError):

@@ -141,17 +141,15 @@ def wmms_value(
     t: EntitlementVector,
     i: int,
     limits: SearchLimits = DEFAULT_LIMITS,
-    tables: ShareTables | None = None,
 ) -> Fraction:
     """Weighted share of agent i: t_i times the best achievable
-    min_j V(part_j) / t_j. Calls that share `tables` run one weighted
-    search for all agents, as `audit` does."""
+    min_j V(part_j) / t_j, from one value-only search. For every agent,
+    `weighted_maximin_partition`'s ratio R gives WMMS_j = t_j*R at once."""
     if not 0 <= i < len(t):
         raise ValueError(f"agent index {i} outside 0..{len(t) - 1}")
     den, top, scale = t.wmms_keys
     p, q = t[i].as_integer_ratio()
-    tables = ShareTables() if tables is None else tables
-    return Fraction(p * tables.share(instance, 1, scale, limits) * den, q * top)
+    return Fraction(p * _search(instance.items, 1, scale, False, limits)[0] * den, q * top)
 
 
 def _subset_sums(items: Sequence[Value]) -> set[Value]:

@@ -69,10 +69,6 @@ class ScanReport:
     rows: tuple[ScanRow, ...]
     seed: int
 
-    def conjecture_counterexamples(self) -> list[ScanRow]:
-        """Rows where a BMMS-fair bundle fails WMMS or OMMS: an alarm (module docstring)."""
-        return [r for r in self.rows if r.bmms_below_wmms or r.bmms_below_omms]
-
     def summary(self) -> dict:
         return report_jsonable(self)["summary"]
 

@@ -581,6 +581,30 @@ def test_record_to_unwritable_path_is_a_usage_error(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_output_past_the_int_digit_limit_is_a_usage_error(capsys, json_flag):
+    # The value of 2/2 is the sum of both items, one digit longer than the limit.
+    items = ",".join(["9" * 640] * 2)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "mms", "--items", items, "--pair", "2/2", *json_flag)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_audit_criteria_names_may_be_spaced(capsys):
+    base = ["audit", "--items", "40,60", "--entitlements", "0.4,0.6", "--allocation", "0;1",
+            "--json", "--criteria"]
+    spaced = run(capsys, *base, " omms, wmms ")
+    assert spaced == run(capsys, *base, "omms,wmms")
+    assert spaced[0] == 0 and json.loads(spaced[1])["inputs"]["criteria"] == ["omms", "wmms"]
+
+
 @pytest.mark.parametrize("allocation", ["0,0;1", "0;0,1"])
 def test_audit_refuses_an_item_index_listed_twice(capsys, allocation):
     # Inside one bundle as across two: the same usage error.
@@ -623,7 +647,8 @@ def _csv(values):
 BAD_VALUES = {
     "items": ["1,x", "1.5", "-3"],
     "entitlements": [
-        "", "0,1", "-1/2,3/2", "1/0,1", "nan,1", "1/3,1/3", "0.5,0.6", "1e400,1"
+        "", "0,1", "-1/2,3/2", "1/0,1", "nan,1", "1/3,1/3", "0.5,0.6", "1e400,1",
+        "1e-99999999,1",
     ],
     "allocation": ["0;0", "a", "9", ";;;;"],
 }
@@ -680,7 +705,7 @@ def test_audit_command_line_fuzz(argv):
 
 # Bad values for the two commands; a command line gets at most one of them.
 BAD_PAIRS_VALUES = {
-    "entitlement": ["0", "-1/2", "-0.5", "3/2", "x", "1/0", "nan", ""],
+    "entitlement": ["0", "-1/2", "-0.5", "3/2", "x", "1/0", "nan", "", "1e-99999999"],
     "items-count": ["x", "1.5", "-1/2"],
 }
 BAD_CONDITION_VALUES = ["-1", "-3", "0", "x", "1/2", "-1/2", ""]

@@ -10,6 +10,7 @@ from mmsfair.core import (
     MmsPair,
     PartitionAssignment,
     canonicalize,
+    format_rational,
     parse_items,
     parse_rational,
 )
@@ -64,6 +65,19 @@ def test_parse_rational():
         parse_rational("three halves")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+    # Exponent notation: Fraction would build 10^n in full first, seconds for n = 10^7.
+    for text in ["1e-99999999", "1E99999999", "6e-1"]:
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)
+
+
+BIG = st.integers(10**30, 10**40) | st.integers(-(10**40), -(10**30))
+
+
+@given(st.fractions() | st.builds(Fraction, st.integers() | BIG, st.just(1) | BIG))
+def test_format_rational_reads_back(f):
+    # Integers keep "/1"; terms past 10^30 stay exact.
+    assert parse_rational(format_rational(f)) == f
 
 
 def test_mms_pair_validation_and_parse():
