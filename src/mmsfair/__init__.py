@@ -35,7 +35,7 @@ from .engine import (
     mms_cardinality,
 )
 from .pairs import Removal, candidate_pairs, filtration_trace, non_dominated_pairs
-from .scan import ScanReport, ScanRow, notion_separation_scan, scan_one
+from .scan import notion_separation_scan, scan_one
 
 __version__ = "0.1.0"
 
@@ -51,8 +51,6 @@ __all__ = [
     "MmsResult",
     "PartitionAssignment",
     "Removal",
-    "ScanReport",
-    "ScanRow",
     "SearchLimits",
     "Value",
     "audit",

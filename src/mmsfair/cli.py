@@ -32,7 +32,7 @@ from .criteria import CRITERIA, Allocation, audit, check_criteria
 from .dominance import decompose, dominates
 from .engine import DEFAULT_LIMITS, SearchLimits, mms, mms_cardinality
 from .pairs import candidate_pairs, filtration_trace
-from .scan import _scan_jsonable, write_csv_rows
+from .scan import notion_separation_scan, write_csv_rows
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -175,10 +175,12 @@ def _exec_scan(inputs: dict) -> tuple[int, dict]:
         for vector in _list(inputs.get("entitlement_grid", []), "entitlement_grid")
     ]
     max_instances = inputs.get("max_instances")
-    return EXIT_OK, _scan_jsonable(
+    # `max_items` is the largest multiset size; the search keeps its own item bound.
+    return EXIT_OK, notion_separation_scan(
         _int(inputs.get("max_items", 0)), value_grid, entitlement_grid,
-        None if max_instances is None else _int(max_instances), _int(inputs.get("seed", 0)),
-        _limits(inputs))
+        max_instances=None if max_instances is None else _int(max_instances),
+        seed=_int(inputs.get("seed", 0)),
+        limits=SearchLimits(max_parts=_int(inputs.get("max_parts", DEFAULT_LIMITS.max_parts))))
 
 
 def _render_mms(outputs: dict, args: argparse.Namespace) -> str:

@@ -60,6 +60,13 @@ def test_mms_size_refusal_exit_3(capsys):
         capsys, "mms", "--items", items, "--pair", "1/3", "--max-items", "17"
     )
     assert code == 0
+    # A scan's --max-items is its largest multiset size, not its search bound:
+    # the 17-item multiset is refused as `mms` refuses it.
+    code, out, err = run(capsys, "scan", "--max-items", "17", "--values", "1",
+                         "--entitlements", "1")
+    assert code == 3 and out == ""
+    assert err == ("refused: instance too large for exact search: 17 items into 1 parts "
+                   "(limits: 16 items, 10 parts)\n")
 
 
 @pytest.mark.parametrize(
@@ -68,7 +75,7 @@ def test_mms_size_refusal_exit_3(capsys):
         (["mms", "--items", "1,2", "--pair", "1/2", "--max-parts", "-5"],
          "search limits must be non-negative: SearchLimits(max_items=16, max_parts=-5)"),
         (["scan", "--max-items", "-1", "--values", "1", "--entitlements", "1/2,1/2"],
-         "search limits must be non-negative: SearchLimits(max_items=-1, max_parts=10)"),
+         "need max_items, max_instances >= 0: -1, None"),
     ],
 )
 def test_negative_search_bound_is_a_usage_error_exit_2(capsys, argv, message):
@@ -318,8 +325,8 @@ def test_scan_empty_bounds(capsys):
 
 
 def test_scan_refusal_echoes_its_own_limits(capsys):
-    # The item bound of a scan is its multiset size, so only the part bound
-    # refuses, and the message shows the bounds the scan ran with.
+    # A scan's search keeps the default item bound, whatever its multiset
+    # size, and the message shows the bounds the scan ran with.
     code, out, err = run(
         capsys,
         "scan",
@@ -334,7 +341,7 @@ def test_scan_refusal_echoes_its_own_limits(capsys):
     )
     assert code == 3
     assert err.startswith("refused: ")
-    assert "(limits: 3 items, 1 parts)" in err
+    assert "(limits: 16 items, 1 parts)" in err
     assert out == ""
 
 
@@ -353,7 +360,7 @@ def test_scan_refusal_of_a_tied_vector(capsys):
         "2",
     )
     assert code == 3
-    assert "1 items into 3 parts (limits: 5 items, 2 parts)" in err
+    assert "1 items into 3 parts (limits: 16 items, 2 parts)" in err
     assert out == ""
 
 

@@ -10,17 +10,11 @@ from hypothesis import strategies as st
 
 from mmsfair import core, criteria, scan
 from mmsfair.cli import execute, main
-from mmsfair.core import EntitlementVector, Instance, InstanceTooLargeError
+from mmsfair.core import EntitlementVector, Instance, InstanceTooLargeError, format_rational
 from mmsfair.criteria import Allocation, audit, bmms_value, weighted_maximin_partition
-from mmsfair.engine import SearchLimits, mms
+from mmsfair.engine import mms
 from mmsfair.pairs import non_dominated_pairs
-from mmsfair.scan import (
-    CSV_COLUMNS,
-    ScanRow,
-    notion_separation_scan,
-    report_jsonable,
-    write_csv_rows,
-)
+from mmsfair.scan import CSV_COLUMNS, notion_separation_scan, write_csv_rows
 
 T_40_60 = EntitlementVector((Fraction(2, 5), Fraction(3, 5)))
 T_SKEW = EntitlementVector((Fraction(3, 5), Fraction(1, 5), Fraction(1, 5)))
@@ -32,8 +26,9 @@ def tied(n):
 
 
 def _row(report, items, entitlements):
-    for row in report.rows:
-        if row.items == items and row.entitlements == entitlements.entitlements:
+    for row in report["rows"]:
+        if row["items"] == list(items) and row["entitlements"] == [
+                format_rational(a) for a in entitlements]:
             return row
     raise AssertionError(f"row not found: {items}, {entitlements}")
 
@@ -41,18 +36,18 @@ def _row(report, items, entitlements):
 def test_scan_rediscovers_wmms_stronger_configuration():
     report = notion_separation_scan(2, [40, 60], [T_40_60])
     row = _row(report, (60, 40), T_40_60)
-    assert row.wmms == (Fraction(40), Fraction(60))
-    assert row.omms_max == (0, 40)
-    assert row.wmms_stronger == (0, 1)
-    assert row.omms_stronger == ()
+    assert row["wmms"] == ["40/1", "60/1"]
+    assert row["omms_max"] == [0, 40]
+    assert row["wmms_stronger"] == [0, 1]
+    assert row["omms_stronger"] == []
 
 
 def test_scan_rediscovers_omms_stronger_configuration():
     report = notion_separation_scan(2, [40, 60], [T_SKEW])
     row = _row(report, (60, 40), T_SKEW)
-    assert row.wmms == (Fraction(0), Fraction(0), Fraction(0))
-    assert row.omms_max[0] == 40
-    assert 0 in row.omms_stronger
+    assert row["wmms"] == ["0/1", "0/1", "0/1"]
+    assert row["omms_max"][0] == 40
+    assert 0 in row["omms_stronger"]
 
 
 def test_scan_equal_entitlements_omms_wmms_coincide():
@@ -61,14 +56,14 @@ def test_scan_equal_entitlements_omms_wmms_coincide():
         EntitlementVector((Fraction(1, 3),) * 3),
     ]
     report = notion_separation_scan(3, [0, 1, 2, 3], grid)
-    assert report.rows
-    for row in report.rows:
-        assert row.equal_entitlements
-        assert row.omms_wmms_coincide
+    assert report["rows"]
+    for row in report["rows"]:
+        assert row["equal_entitlements"] is True
+        assert row["omms_wmms_coincide"] is True
         # The bipartite notion may be strictly stronger; it must never be
         # weaker than the other two here, or the conjecture scan flags it.
-        assert not row.bmms_below_wmms
-        assert not row.bmms_below_omms
+        assert not row["bmms_below_wmms"]
+        assert not row["bmms_below_omms"]
 
 
 def test_scan_is_deterministic_and_sorted():
@@ -76,16 +71,17 @@ def test_scan_is_deterministic_and_sorted():
     first = notion_separation_scan(2, [0, 40, 60], grid, max_instances=5, seed=3)
     second = notion_separation_scan(2, [0, 40, 60], grid, max_instances=5, seed=3)
     assert first == second
-    sizes = [(len(r.items), r.items) for r in first.rows]
+    sizes = [(len(r["items"]), r["items"]) for r in first["rows"]]
     assert sizes == sorted(sizes)
     different_seed = notion_separation_scan(2, [0, 40, 60], grid, max_instances=5, seed=4)
-    assert {r.items for r in different_seed.rows} != {r.items for r in first.rows}
+    assert ({tuple(r["items"]) for r in different_seed["rows"]}
+            != {tuple(r["items"]) for r in first["rows"]})
 
 
 def test_scan_empty_bounds_yield_empty_report():
-    assert notion_separation_scan(0, [1, 2], [T_40_60]).rows == ()
-    assert notion_separation_scan(2, [], [T_40_60]).rows == ()
-    assert notion_separation_scan(2, [1, 2], []).rows == ()
+    assert notion_separation_scan(0, [1, 2], [T_40_60])["rows"] == []
+    assert notion_separation_scan(2, [], [T_40_60])["rows"] == []
+    assert notion_separation_scan(2, [1, 2], [])["rows"] == []
 
 
 def test_scan_of_an_empty_grid_enumerates_nothing(monkeypatch):
@@ -95,7 +91,7 @@ def test_scan_of_an_empty_grid_enumerates_nothing(monkeypatch):
         raise AssertionError("enumerated multisets of an empty grid")
 
     monkeypatch.setattr(scan.itertools, "combinations_with_replacement", enumerated)
-    assert notion_separation_scan(10**9, [], [T_40_60]).rows == ()
+    assert notion_separation_scan(10**9, [], [T_40_60])["rows"] == []
 
 
 def _listed(max_items, value_grid, max_instances, seed):
@@ -145,16 +141,16 @@ def test_instances_refuse_a_grid_too_large_to_sample():
 
 def test_report_serialization_round_trip():
     report = notion_separation_scan(2, [40, 60], [T_40_60])
-    blob = report_jsonable(report)
-    assert blob["summary"]["rows"] == len(report.rows)
-    assert blob["rows"][0]["entitlements"] == ["2/5", "3/5"]
+    assert json.loads(json.dumps(report)) == report
+    assert report["summary"]["rows"] == len(report["rows"])
+    assert report["rows"][0]["entitlements"] == ["2/5", "3/5"]
 
     out = io.StringIO()
-    write_csv_rows(blob["rows"], out)
+    write_csv_rows(report["rows"], out)
     lines = out.getvalue().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     # one line per (instance, entitlements, agent)
-    assert len(lines) == 1 + sum(len(r.entitlements) for r in report.rows)
+    assert len(lines) == 1 + sum(len(r["entitlements"]) for r in report["rows"])
 
 
 def test_scan_rejects_negative_max_instances():
@@ -191,7 +187,7 @@ def test_scan_takes_each_vector_keys_once_and_builds_no_witness(monkeypatch):
 
     monkeypatch.setattr(core.PartitionAssignment, "__post_init__", counted_init)
     report = notion_separation_scan(3, [0, 7, 19, 31], grid)
-    assert len(report.rows) == 34 * len(grid)  # 4 + 10 + 20 multisets
+    assert len(report["rows"]) == 34 * len(grid)  # 4 + 10 + 20 multisets
     assert len(keyed) == len(grid) and built == []
     # The witness routes still build one, so the count above sees them.
     weighted_maximin_partition(Instance((7, 19)), T_40_60.entitlements)
@@ -233,14 +229,16 @@ def test_scan_computes_each_entitlement_once_per_instance(monkeypatch):
     for name in calls:
         monkeypatch.setattr(criteria, name, counted(name))
     assert notion_separation_scan(3, [0, 1, 40, 60], grid) == expected
-    once = sorted({(row.items, t_i) for row in expected.rows for t_i in row.entitlements})
+    once = sorted({(tuple(row["items"]), core.parse_rational(t_i))
+                   for row in expected["rows"] for t_i in row["entitlements"]})
     assert sorted(calls["omms_requirements"]) == sorted(calls["bmms_value"]) == once
 
 
 def reference_row(instance, t):
     # One row on its own, sharing nothing with other rows or agents: the
     # weighted search for every vector, tied or not, and a fresh pair set,
-    # share and subset-sum enumeration per agent, compared as Fractions.
+    # share and subset-sum enumeration per agent, compared as Fractions and
+    # then written out as the scan's JSON row.
     m = len(instance.items)
     best, _ = weighted_maximin_partition(instance, t.entitlements)
     omms_max, wmms, bmms = [], [], []
@@ -250,17 +248,34 @@ def reference_row(instance, t):
         wmms.append(t_i * best)
         bmms.append(bmms_value(instance, t_i))
     idx = range(len(t))
-    return ScanRow(
-        items=instance.items,
-        entitlements=t.entitlements,
-        omms_max=tuple(omms_max),
-        wmms=tuple(wmms),
-        bmms=tuple(bmms),
-        wmms_stronger=tuple(i for i in idx if wmms[i] > omms_max[i]),
-        omms_stronger=tuple(i for i in idx if omms_max[i] > wmms[i]),
-        bmms_below_wmms=tuple(i for i in idx if bmms[i] < wmms[i]),
-        bmms_below_omms=tuple(i for i in idx if bmms[i] < omms_max[i]),
-    )
+    return {
+        "items": list(instance.items),
+        "entitlements": [format_rational(t_i) for t_i in t],
+        "omms_max": omms_max,
+        "wmms": [format_rational(w) for w in wmms],
+        "bmms": [format_rational(b) for b in bmms],
+        "wmms_stronger": [i for i in idx if wmms[i] > omms_max[i]],
+        "omms_stronger": [i for i in idx if omms_max[i] > wmms[i]],
+        "bmms_below_wmms": [i for i in idx if bmms[i] < wmms[i]],
+        "bmms_below_omms": [i for i in idx if bmms[i] < omms_max[i]],
+        "equal_entitlements": len(set(t)) == 1,
+        "omms_wmms_coincide": wmms == omms_max,
+    }
+
+
+def reference_report(max_items, grid, grid_vectors, max_instances, seed):
+    # Every multiset of the listing oracle against every vector, one
+    # reference row each, and the summary counted from those rows.
+    rows = [reference_row(Instance(items), t)
+            for items in _listed(max_items, grid, max_instances, seed) for t in grid_vectors]
+    return {"seed": seed, "rows": rows, "summary": {
+        "rows": len(rows),
+        "rows_wmms_strictly_stronger": sum(bool(r["wmms_stronger"]) for r in rows),
+        "rows_omms_strictly_stronger": sum(bool(r["omms_stronger"]) for r in rows),
+        "rows_equal_entitlements": sum(r["equal_entitlements"] for r in rows),
+        "bmms_conjecture_counterexamples": sum(
+            bool(r["bmms_below_wmms"] + r["bmms_below_omms"]) for r in rows),
+    }}
 
 
 random_vectors = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(
@@ -281,13 +296,7 @@ vectors = st.sampled_from([tied(2), tied(3), tied(4), T_74_26, T_40_60, T_SKEW])
 @example(3, [0, 7, 7], [tied(2), tied(3), tied(4), T_74_26])
 def test_scan_rows_match_a_row_by_row_reference(max_items, grid, grid_vectors):
     report = notion_separation_scan(max_items, grid, grid_vectors, max_instances=12, seed=1)
-    assert report.rows == tuple(
-        reference_row(Instance(row.items), t)
-        for row, t in zip(report.rows, grid_vectors * len(report.rows))
-    )
-    assert report.summary()["rows_equal_entitlements"] == sum(
-        len(set(row.entitlements)) == 1 for row in report.rows
-    )
+    assert report == reference_report(max_items, grid, grid_vectors, 12, 1)
 
 
 @seed(15)
@@ -301,11 +310,11 @@ def test_audit_and_scan_one_report_the_same_shares(items, t):
     everything_to_agent_0 = [list(range(len(items)))] + [[] for _ in range(len(t) - 1)]
     report = audit(instance, t, Allocation.from_lists(everything_to_agent_0))
     row = scan.scan_one(instance, t)
-    assert len(report.agents) == len(row.wmms) == len(t)
+    assert len(report.agents) == len(row["wmms"]) == len(t)
     for i, agent in enumerate(report.agents):
-        assert max((v for _, v in agent.omms_requirements), default=0) == row.omms_max[i]
-        assert agent.wmms_value == row.wmms[i]
-        assert agent.bmms_value == row.bmms[i]
+        assert max((v for _, v in agent.omms_requirements), default=0) == row["omms_max"][i]
+        assert format_rational(agent.wmms_value) == row["wmms"][i]
+        assert format_rational(agent.bmms_value) == row["bmms"][i]
 
 
 def test_a_bmms_route_below_the_search_raises_the_alarm(monkeypatch, tmp_path, capsys):
@@ -313,9 +322,9 @@ def test_a_bmms_route_below_the_search_raises_the_alarm(monkeypatch, tmp_path, c
     # route can flag a row: (5, 5) at 1/2, 1/2 has WMMS = OMMS = 5 for both agents.
     monkeypatch.setattr(criteria, "bmms_value", lambda *args: Fraction(0))
     report = notion_separation_scan(2, [5], [tied(2)])
-    assert [(r.items, r.bmms_below_wmms, r.bmms_below_omms) for r in report.rows] == [
-        ((5,), (), ()), ((5, 5), (0, 1), (0, 1))]
-    assert report.summary()["bmms_conjecture_counterexamples"] == 1
+    assert [(r["items"], r["bmms_below_wmms"], r["bmms_below_omms"])
+            for r in report["rows"]] == [([5], [], []), ([5, 5], [0, 1], [0, 1])]
+    assert report["summary"]["bmms_conjecture_counterexamples"] == 1
     out = tmp_path / "scan.csv"
     assert main(["scan", "--max-items", "2", "--values", "5", "--entitlements", "1/2,1/2",
                  "--out", str(out)]) == 0
@@ -325,14 +334,12 @@ def test_a_bmms_route_below_the_search_raises_the_alarm(monkeypatch, tmp_path, c
     assert [line.split(",")[-2:] for line in lines[1:]] == [["0", "0"]] * 2 + [["1", "1"]] * 2
 
 
-def test_scan_computes_pair_sets_subset_sums_and_tied_shares_once(monkeypatch):
-    grid = [T_40_60, T_SKEW, tied(2), tied(3), T_74_26]
-    expected = notion_separation_scan(3, [0, 1, 40, 60], grid)
-    # `_search` runs every value-only search, OMMS and WMMS.
-    calls = {"non_dominated_pairs": [], "_subset_sums": [], "_search": []}
+def _counting(module, names, monkeypatch):
+    # Each named function of `module`, rebound to record its arguments.
+    calls = {name: [] for name in names}
 
     def counted(name):
-        real = getattr(criteria, name)
+        real = getattr(module, name)
 
         def wrapper(*args):
             calls[name].append(args)
@@ -340,10 +347,18 @@ def test_scan_computes_pair_sets_subset_sums_and_tied_shares_once(monkeypatch):
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(criteria, name, counted(name))
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name))
+    return calls
+
+
+def test_scan_computes_pair_sets_subset_sums_and_tied_shares_once(monkeypatch):
+    grid = [T_40_60, T_SKEW, tied(2), tied(3), T_74_26]
+    expected = notion_separation_scan(3, [0, 1, 40, 60], grid)
+    # `_search` runs every value-only search, OMMS and WMMS.
+    calls = _counting(criteria, ["non_dominated_pairs", "_subset_sums", "_search"], monkeypatch)
     assert notion_separation_scan(3, [0, 1, 40, 60], grid) == expected
-    instances = {row.items for row in expected.rows}
+    instances = {tuple(row["items"]) for row in expected["rows"]}
     # One pair set per (entitlement, item count), one enumeration per
     # instance, and a search at a non-unit scale for untied vectors only: a
     # tied vector's WMMS is the 1-out-of-n share at unit scale.
@@ -355,17 +370,12 @@ def test_scan_computes_pair_sets_subset_sums_and_tied_shares_once(monkeypatch):
     assert len(weighted) == 3 * len(instances)
 
 
-def _scan_both_routes(max_items, grid, grid_vectors, max_instances, seed, max_parts=10):
-    # `execute("scan", ...)` (the JSON route) and the reference route on the
-    # same scan, with the search bounds `execute` derives from the inputs.
+def _execute_scan(max_items, grid, grid_vectors, max_instances, seed, max_parts=10):
+    # `execute("scan", ...)` on the inputs a `scan --record` would hold.
     inputs = {"max_items": max_items, "value_grid": grid, "max_instances": max_instances,
               "seed": seed, "max_parts": max_parts,
-              "entitlement_grid": [[core.format_rational(a) for a in t] for t in grid_vectors]}
-    limits = SearchLimits(max_items=max_items, max_parts=max_parts)
-    return (lambda: execute("scan", inputs)[1],
-            lambda: report_jsonable(notion_separation_scan(
-                max_items, grid, grid_vectors, max_instances=max_instances, seed=seed,
-                limits=limits)))
+              "entitlement_grid": [[format_rational(a) for a in t] for t in grid_vectors]}
+    return execute("scan", inputs)[1]
 
 
 def _csv(rows):
@@ -387,60 +397,58 @@ def _csv(rows):
 @example(3, [0, 7, 7], [tied(2), tied(3), tied(4), T_74_26], None, 0)
 @example(4, [0, 1, 40, 60], [T_40_60, T_SKEW, T_74_26, tied(3)], 12, 1)
 @example(4, [0, 1, 40, 60], [T_40_60, T_SKEW, T_74_26, tied(3)], 12, 2)
-def test_execute_scan_matches_the_reference_route(max_items, grid, grid_vectors,
-                                                  max_instances, sample_seed):
-    json_route, reference = _scan_both_routes(max_items, grid, grid_vectors, max_instances,
-                                              sample_seed)
-    outputs, expected = json_route(), reference()
+def test_execute_scan_matches_the_reference(max_items, grid, grid_vectors, max_instances,
+                                            sample_seed):
+    outputs = _execute_scan(max_items, grid, grid_vectors, max_instances, sample_seed)
+    expected = reference_report(max_items, grid, grid_vectors, max_instances, sample_seed)
     # Same values, key order and types (True is not 1 in JSON).
-    assert outputs == expected
     assert json.dumps(outputs) == json.dumps(expected)
     assert _csv(outputs["rows"]) == _csv(expected["rows"])
 
 
-def _raised(route):
-    with pytest.raises(Exception) as info:
-        route()
-    return type(info.value), str(info.value)
-
-
-def test_both_scan_routes_refuse_alike():
+def test_execute_scan_refusals():
     # Three agents with room for two parts: the weighted search is refused.
-    json_route, reference = _scan_both_routes(2, [0, 5], [T_40_60, T_SKEW], None, 0, max_parts=2)
-    refusal = _raised(json_route)
-    assert refusal[0] is InstanceTooLargeError and refusal == _raised(reference)
-    # An instance above the item bound, which `execute` cannot ask for.
-    limits = SearchLimits(max_items=2)
-    refusal = _raised(lambda: scan._scan_jsonable(3, [1, 2], [T_40_60], None, 0, limits))
-    assert refusal[0] is InstanceTooLargeError and refusal == _raised(
-        lambda: notion_separation_scan(3, [1, 2], [T_40_60], limits=limits))
-    json_route, reference = _scan_both_routes(2, [1, 2], [T_40_60], -1, 0)
-    assert _raised(json_route) == _raised(reference) == (
-        ValueError, "need max_items, max_instances >= 0: 2, -1")
+    with pytest.raises(InstanceTooLargeError) as refused:
+        _execute_scan(2, [0, 5], [T_40_60, T_SKEW], None, 0, max_parts=2)
+    assert str(refused.value) == ("instance too large for exact search: "
+                                  "1 items into 3 parts (limits: 16 items, 2 parts)")
+    # A multiset past the search's item bound, refused as `mms` refuses it:
+    # the scan's `max_items` is its largest multiset size, not a search bound.
+    with pytest.raises(InstanceTooLargeError) as refused:
+        _execute_scan(17, [1], [EntitlementVector((Fraction(1),))], None, 0)
+    assert str(refused.value) == ("instance too large for exact search: "
+                                  "17 items into 1 parts (limits: 16 items, 10 parts)")
+    with pytest.raises(ValueError) as refused:
+        _execute_scan(2, [1, 2], [T_40_60], -1, 0)
+    assert str(refused.value) == "need max_items, max_instances >= 0: 2, -1"
 
 
 @pytest.mark.parametrize("max_instances", [None, 7])
-def test_execute_scan_makes_the_reference_routes_calls(monkeypatch, max_instances):
-    # The JSON route reads the same share table as `notion_separation_scan`,
-    # so it runs the very same pair sets, enumerations and searches.
+def test_execute_scan_computes_each_share_once(monkeypatch, max_instances):
+    # A sampled scan too reads one share table for all its rows: one pair set
+    # per (entitlement, item count), one enumeration per instance and one
+    # value-only search per share, three of them weighted (the untied vectors).
     grid = [T_40_60, T_SKEW, tied(2), tied(3), T_74_26]
-    json_route, reference = _scan_both_routes(3, [0, 1, 40, 60], grid, max_instances, 5)
-    calls = {"non_dominated_pairs": [], "_subset_sums": [], "_search": []}
-
-    def counted(name):
-        real = getattr(criteria, name)
-
-        def wrapper(*args):
-            calls[name].append(args)
-            return real(*args)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(criteria, name, counted(name))
-    expected = reference()
-    reference_calls = {name: list(made) for name, made in calls.items()}
+    calls = _counting(criteria, ["non_dominated_pairs", "_subset_sums", "_search"], monkeypatch)
+    rows = _execute_scan(3, [0, 1, 40, 60], grid, max_instances, 5)["rows"]
+    instances = [tuple(row["items"]) for row in rows[::len(grid)]]
+    assert len(instances) == (34 if max_instances is None else max_instances)
+    assert len(rows) == len(grid) * len(instances)
     for made in calls.values():
-        made.clear()
-    assert json_route() == expected
-    assert calls == reference_calls and all(reference_calls.values())
+        assert made and len(made) == len(set(made))
+    sizes = {len(items) for items in instances}
+    assert set(calls["non_dominated_pairs"]) == {(t_i, m) for t in grid for t_i in t for m in sizes}
+    assert sorted(items for items, in calls["_subset_sums"]) == sorted(instances)
+    weighted = [scale for _, _, scale, _, _ in calls["_search"] if set(scale) != {1}]
+    assert len(weighted) == 3 * len(instances)
+
+
+def test_execute_scan_calls_scan_one_per_row_and_report_jsonable_once(monkeypatch):
+    # perfbench's tracer spans a scan through the module attributes
+    # `scan.scan_one` and `scan.report_jsonable`, rebinding them as done here.
+    calls = _counting(scan, ["scan_one", "report_jsonable"], monkeypatch)
+    rows = _execute_scan(3, [0, 1, 40, 60], [T_40_60, T_SKEW], 7, 5)["rows"]
+    assert len(rows) == 14
+    assert [args[:2] for args in calls["scan_one"]] == [
+        (Instance(tuple(row["items"])), t) for row in rows[::2] for t in (T_40_60, T_SKEW)]
+    assert [args[0] for args in calls["report_jsonable"]] == [rows]
